@@ -113,28 +113,6 @@ wal-bench-compare:
 		-threshold 0.6 \
 		-pair "wal/group-commit/parallel-create-8thr/group<=wal/group-commit/parallel-create-8thr/nogroup"
 
-# Wire-protocol fast-path matrix (DESIGN.md §15): coalesced vs per-frame
-# reply writes under a pipelined small-op storm (the suite itself
-# enforces >= 1.5x from coalescing), readv amortization, and an
-# open-loop (Poisson) rate sweep with a below-knee tail gate.
-# Regenerates the committed baseline.
-bench-net:
-	$(GO) run ./cmd/benchjson -suite net -o BENCH_net.json
-
-# Wire-protocol regression gate. The load-bearing checks are the suite's
-# own self-enforced ratios (coalescing >= 1.5x, the below-knee tail
-# envelope) plus the pair — the coalescing writer may never lose to
-# per-frame writes. Absolute ns/op cells and open-loop latency cells
-# swing heavily on a small shared host (the knee itself moves 2x between
-# runs), so the numeric diff gets the same wide 60% tolerance as the
-# other real-execution suites and only catches order-of-magnitude
-# breakage.
-bench-net-compare:
-	$(GO) run ./cmd/benchjson -suite net -o /tmp/BENCH_net_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_net.json -cur /tmp/BENCH_net_current.json \
-		-threshold 0.6 \
-		-pair "net/storm/stat-32thr/coalesced<=net/storm/stat-32thr/perframe"
-
 # Nightly regression gate: a fresh writepath run must stay within 15%
 # ns/op of the committed baseline in every cell.
 bench-compare:

@@ -83,7 +83,7 @@ func main() {
 	volumes := flag.String("volumes", "", "comma-separated mount points, each served by an independent volume (e.g. /v0,/v1)")
 	quota := flag.String("quota", "", "per-tenant admission quotas: tenant=rate[/burst[/maxqueue]],...")
 	journal := flag.Bool("journal", false, "write-ahead journal per volume with recovery verify on shutdown (implies -monitor)")
-	journalCkpt := flag.Int("journal-ckpt", 256, "journal checkpoint cadence in records")
+	journalCkpt := flag.Int("journal-ckpt", 256, "minimum records between journal checkpoints (one is taken once a quarter of the last one's bytes has also been logged)")
 	journalBlocks := flag.Int("journal-blocks", 1<<16, "journal device size in 4KiB blocks")
 	noCoalesce := flag.Bool("no-coalesce", false, "one vectored write per reply frame (baseline for the coalescing win; DESIGN.md s15)")
 	flag.Parse()

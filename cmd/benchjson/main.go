@@ -26,13 +26,6 @@
 //     create cell must show at least 2x throughput from batching or the
 //     run fails), the journal's CPU overhead against the bare ramdisk,
 //     and recovery replay speed → BENCH_wal.json (`make wal-bench`).
-//   - net: the wire-protocol matrix (DESIGN.md §15) — the coalescing
-//     writer vs per-frame writes under a pipelined small-op storm over
-//     real TCP loopback (the coalesced cell must run at least 1.5x the
-//     per-frame baseline or the run fails), readv amortization, and an
-//     open-loop (Poisson) rate sweep whose below-knee p99.9 must stay
-//     within max(5x p50, 3x the measured near-idle noise floor) →
-//     BENCH_net.json (`make bench-net`).
 //
 // Usage:
 //
@@ -103,20 +96,8 @@ type record struct {
 	WalCommits  *uint64  `json:"wal_commits,omitempty"`
 	WalAvgBatch *float64 `json:"wal_avg_batch,omitempty"`
 	WalSpeedup  *float64 `json:"wal_group_speedup_vs_nogroup,omitempty"`
-	// Wire-protocol stats (net suite): the coalescing-vs-per-frame storm
-	// ratio, mean frames retired per vectored write, the readv-vs-
-	// sequential amortization, and the open-loop sweep's offered/achieved
-	// rates and knee (ops/sec). Net-suite cells put the open-loop p50 in
-	// ns_per_op and the full quantile triple in the lat_* fields.
-	NetSpeedup        *float64 `json:"net_coalesce_speedup_vs_perframe,omitempty"`
-	NetFramesPerFlush *float64 `json:"net_frames_per_flush,omitempty"`
-	ReadvSpeedup      *float64 `json:"net_readv_speedup_vs_seq,omitempty"`
-	NetOffered        *float64 `json:"net_offered_ops_per_sec,omitempty"`
-	NetAchieved       *float64 `json:"net_achieved_ops_per_sec,omitempty"`
-	NetKnee           *float64 `json:"net_knee_ops_per_sec,omitempty"`
-	LatP50Ns          *float64 `json:"lat_p50_ns,omitempty"`
-	LatP99Ns          *float64 `json:"lat_p99_ns,omitempty"`
-	LatP999Ns         *float64 `json:"lat_p999_ns,omitempty"`
+	LatP50Ns    *float64 `json:"lat_p50_ns,omitempty"`
+	LatP99Ns    *float64 `json:"lat_p99_ns,omitempty"`
 	// Context-plumbing counters (fsapi v2): ops that aborted on a
 	// cancelled context or an exceeded deadline during this cell.
 	Cancelled        *uint64 `json:"cancelled,omitempty"`
@@ -169,10 +150,8 @@ func main() {
 		results = shardSuite(*quick)
 	case "wal":
 		results = walSuite(*quick)
-	case "net":
-		results = netSuite(*quick)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown suite %q (want fastpath, writepath, scale, shard, wal, or net)\n", *suite)
+		fmt.Fprintf(os.Stderr, "unknown suite %q (want fastpath, writepath, scale, shard, or wal)\n", *suite)
 		os.Exit(2)
 	}
 
@@ -756,15 +735,6 @@ func printRec(rec record) {
 	}
 	if rec.WalSpeedup != nil {
 		line += fmt.Sprintf("  wal_speedup=%.2fx", *rec.WalSpeedup)
-	}
-	if rec.NetFramesPerFlush != nil {
-		line += fmt.Sprintf("  frames/flush=%.1f", *rec.NetFramesPerFlush)
-	}
-	if rec.NetSpeedup != nil {
-		line += fmt.Sprintf("  net_speedup=%.2fx", *rec.NetSpeedup)
-	}
-	if rec.ReadvSpeedup != nil {
-		line += fmt.Sprintf("  readv_speedup=%.2fx", *rec.ReadvSpeedup)
 	}
 	if rec.LatP50Ns != nil {
 		line += fmt.Sprintf("  p50=%.0fns p99=%.0fns", *rec.LatP50Ns, *rec.LatP99Ns)

@@ -111,6 +111,7 @@ func ExecuteCrash(s CrashSeed) *CrashResult {
 	ctx := context.Background()
 
 	dev := wal.NewDevice(block.NewStore(crashStoreBlocks), 0)
+	dev.RecordMarks()
 	if s.Crash >= 0 {
 		dev.CrashAt(s.Crash)
 	}

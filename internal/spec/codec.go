@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -80,6 +81,74 @@ func AppendSubTree(dst []byte, t *SubTree) []byte {
 	}
 	return dst
 }
+
+// EncodeTree streams the encoding of the subtree rooted at ino to emit:
+// the concatenation of the emitted slices is byte for byte
+// AppendSubTree(nil, fs.Export(ino)), without the deep copy and without
+// ever holding the encoding in one piece — file contents are handed to
+// emit in place. emit must not retain or modify its argument. Like Export
+// it panics on a dangling inode number.
+func (fs *AFS) EncodeTree(ino Inum, emit func([]byte)) {
+	e := treeEncoder{fs: fs, emit: emit}
+	e.encode(ino)
+}
+
+// treeEncoder carries EncodeTree's two reusable buffers, so a walk
+// allocates for its widest path, not per inode.
+type treeEncoder struct {
+	fs   *AFS
+	emit func([]byte)
+	hdr  []byte   // kind, counts and names, rebuilt per emit
+	name []string // stack of the sorted child names of every open directory
+}
+
+func (e *treeEncoder) encode(ino Inum) {
+	n := e.fs.Imap[ino]
+	if n == nil {
+		panic(fmt.Sprintf("spec: EncodeTree of dangling inode %d", ino))
+	}
+	if n.Kind == KindFile {
+		e.hdr = appendUvarint(append(e.hdr[:0], byte(KindFile)), uint64(len(n.Data)))
+		e.emit(e.hdr)
+		e.emit(n.Data)
+		return
+	}
+	lo := len(e.name)
+	for name := range n.Links {
+		e.name = append(e.name, name)
+	}
+	sort.Strings(e.name[lo:])
+	e.hdr = appendUvarint(append(e.hdr[:0], byte(n.Kind)), uint64(len(n.Links)))
+	e.emit(e.hdr)
+	for i := lo; i < lo+len(n.Links); i++ {
+		name := e.name[i] // indexed afresh: a child's append may move the stack
+		e.hdr = appendString(e.hdr[:0], name)
+		e.emit(e.hdr)
+		e.encode(n.Links[name])
+	}
+	e.name = e.name[:lo]
+}
+
+// EncodedTreeSize returns the number of bytes EncodeTree(ino, ...) emits,
+// without emitting them: the length a frame header must announce before
+// the payload is streamed.
+func (fs *AFS) EncodedTreeSize(ino Inum) int64 {
+	n := fs.Imap[ino]
+	if n == nil {
+		panic(fmt.Sprintf("spec: EncodedTreeSize of dangling inode %d", ino))
+	}
+	if n.Kind == KindFile {
+		return 1 + uvarintLen(uint64(len(n.Data))) + int64(len(n.Data))
+	}
+	size := 1 + uvarintLen(uint64(len(n.Links)))
+	for name, child := range n.Links {
+		size += uvarintLen(uint64(len(name))) + int64(len(name)) + fs.EncodedTreeSize(child)
+	}
+	return size
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, v)): seven bits per byte.
+func uvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
 
 // DecodeSubTree decodes one subtree from b and returns it with the
 // remaining bytes. An absent marker decodes to nil.

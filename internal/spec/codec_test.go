@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// randNames includes multi-byte and non-ASCII names: the codec is
+// length-prefixed bytes and the child order is byte-wise, not by rune.
+var randNames = []string{"a", "b", "c", "d", "Z", "é", "日本", "a b", "ab"}
+
 func randSubTree(r *rand.Rand, depth int) *SubTree {
 	if depth == 0 || r.Intn(3) == 0 {
 		t := &SubTree{Kind: KindFile}
@@ -18,7 +22,7 @@ func randSubTree(r *rand.Rand, depth int) *SubTree {
 	}
 	t := &SubTree{Kind: KindDir, Children: map[string]*SubTree{}}
 	for i := r.Intn(4); i > 0; i-- {
-		name := string(rune('a' + r.Intn(6)))
+		name := randNames[r.Intn(len(randNames))]
 		t.Children[name] = randSubTree(r, depth-1)
 	}
 	return t
@@ -61,6 +65,54 @@ func TestSubTreeRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, AppendSubTree(nil, dec)) {
 			t.Fatal("re-encode not byte-identical")
 		}
+	}
+}
+
+// TestEncodeTreeMatchesAppendSubTree is the format-equivalence property
+// the journal's streaming checkpoint rests on: for any state, the bytes
+// EncodeTree emits are AppendSubTree(nil, Export(ino)) and the counting
+// pass announces exactly their length. A device written by either
+// encoder therefore recovers under the other.
+func TestEncodeTreeMatchesAppendSubTree(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		root := &SubTree{Kind: KindDir, Children: map[string]*SubTree{}}
+		for j := r.Intn(4); j > 0; j-- { // 0: the empty root
+			root.Children[randNames[r.Intn(len(randNames))]] = randSubTree(r, 4)
+		}
+		fs, err := FromSubTree(root)
+		if err != nil {
+			t.Fatalf("FromSubTree: %v", err)
+		}
+		for ino := range fs.Imap { // every subtree, not only the root
+			want := AppendSubTree(nil, fs.Export(ino))
+			var got []byte
+			fs.EncodeTree(ino, func(p []byte) { got = append(got, p...) })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tree %d inode %d: streamed encoding differs:\n got %x\nwant %x", i, ino, got, want)
+			}
+			if n := fs.EncodedTreeSize(ino); n != int64(len(want)) {
+				t.Fatalf("tree %d inode %d: EncodedTreeSize = %d, encoding is %d bytes", i, ino, n, len(want))
+			}
+		}
+	}
+}
+
+func TestEncodeTreeLargeFile(t *testing.T) {
+	// Lengths either side of every uvarint width the codec will meet.
+	fs := New()
+	for i, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
+		path := "/f" + string(rune('a'+i))
+		fs.Apply(OpMknod, Args{Path: path})
+		if ret, _ := fs.Apply(OpWrite, Args{Path: path, Data: make([]byte, n)}); ret.Err != nil {
+			t.Fatalf("write %d bytes: %v", n, ret.Err)
+		}
+	}
+	want := AppendSubTree(nil, fs.Export(fs.Root))
+	var got []byte
+	fs.EncodeTree(fs.Root, func(p []byte) { got = append(got, p...) })
+	if !bytes.Equal(got, want) || fs.EncodedTreeSize(fs.Root) != int64(len(want)) {
+		t.Fatalf("streamed %d bytes, counted %d, want %d", len(got), fs.EncodedTreeSize(fs.Root), len(want))
 	}
 }
 

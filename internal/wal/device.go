@@ -36,7 +36,7 @@ var ErrCrashed = errors.New("wal: device crashed")
 // single writer and a fixed hint the store's allocation order is
 // deterministic (block.TestDeterministicAllocOrder), so two identical
 // runs produce byte-identical devices (TestDeviceReproducible).
-// TruncateBefore returns the blocks of a checkpointed log prefix to the
+// TruncateRange returns the blocks of a checkpointed log prefix to the
 // store — the logical offset space keeps growing append-only while
 // physical use stays bounded.
 //
@@ -51,9 +51,13 @@ var ErrCrashed = errors.New("wal: device crashed")
 type Device struct {
 	mu    sync.Mutex
 	store *block.Store
-	// blkmap maps logical block numbers to store blocks; block.NoBlock
-	// (or an index past the slice) means not materialized.
-	blkmap []block.Index
+	// blkmap maps logical block numbers to store blocks; an absent key
+	// means not materialized. A map, not a slice indexed by block number:
+	// the logical space only ever grows, and the table must cost what is
+	// mapped now, not what was ever written. end is the logical space's
+	// high-water mark in bytes, block-aligned.
+	blkmap map[int64]block.Index
+	end    int64
 	// written is the cumulative number of bytes accepted across all
 	// WriteAt calls; crashAt < 0 means never crash.
 	written int64
@@ -64,14 +68,17 @@ type Device struct {
 	syncDelay time.Duration
 	syncs     int64
 	// marks records the cumulative written offset after each WriteAt
-	// call — the write-call boundaries a crash fuzzer aims at.
-	marks []int64
+	// call — the write-call boundaries a crash fuzzer aims at — once
+	// RecordMarks has armed it. Unarmed (every production device) it
+	// stays nil: eight bytes per write, forever, is a leak.
+	marks       []int64
+	recordMarks bool
 }
 
 // NewDevice wraps store as a journal device. syncDelay is the simulated
 // flush latency (0 for tests).
 func NewDevice(store *block.Store, syncDelay time.Duration) *Device {
-	return &Device{store: store, crashAt: -1, syncDelay: syncDelay}
+	return &Device{store: store, blkmap: map[int64]block.Index{}, crashAt: -1, syncDelay: syncDelay}
 }
 
 // CrashAt arms the crash point: only the first k cumulative written
@@ -79,6 +86,14 @@ func NewDevice(store *block.Store, syncDelay time.Duration) *Device {
 func (d *Device) CrashAt(k int64) {
 	d.mu.Lock()
 	d.crashAt = k
+	d.mu.Unlock()
+}
+
+// RecordMarks arms write-mark recording (see Marks) for the writes that
+// follow.
+func (d *Device) RecordMarks() {
+	d.mu.Lock()
+	d.recordMarks = true
 	d.mu.Unlock()
 }
 
@@ -98,8 +113,9 @@ func (d *Device) Written() int64 {
 }
 
 // Marks returns the cumulative write-stream offset after each WriteAt
-// call so far: the exact byte boundaries between journal writes, which
-// the crash fuzzer perturbs by ±1 to synthesize torn and clean cuts.
+// call since RecordMarks (nil if it was never called): the exact byte
+// boundaries between journal writes, which the crash fuzzer perturbs by
+// ±1 to synthesize torn and clean cuts.
 func (d *Device) Marks() []int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -135,7 +151,9 @@ func (d *Device) WriteAt(off int64, p []byte) error {
 		return err
 	}
 	d.written += n
-	d.marks = append(d.marks, d.written)
+	if d.recordMarks {
+		d.marks = append(d.marks, d.written)
+	}
 	if d.crashed {
 		return ErrCrashed
 	}
@@ -160,17 +178,17 @@ func (d *Device) writeLocked(off int64, p []byte) error {
 // materialize returns the store block backing logical block lb,
 // allocating one on first touch.
 func (d *Device) materialize(lb int64) (block.Index, error) {
-	for int64(len(d.blkmap)) <= lb {
-		d.blkmap = append(d.blkmap, block.NoBlock)
-	}
-	if d.blkmap[lb] != block.NoBlock {
-		return d.blkmap[lb], nil
+	if idx, ok := d.blkmap[lb]; ok {
+		return idx, nil
 	}
 	idx, err := d.store.Alloc(0)
 	if err != nil {
 		return block.NoBlock, err
 	}
 	d.blkmap[lb] = idx
+	if e := (lb + 1) * block.Size; e > d.end {
+		d.end = e
+	}
 	return idx, nil
 }
 
@@ -187,8 +205,8 @@ func (d *Device) ReadAt(off int64, p []byte) error {
 		if n > len(p) {
 			n = len(p)
 		}
-		if lb < int64(len(d.blkmap)) && d.blkmap[lb] != block.NoBlock {
-			copy(p[:n], d.store.Data(d.blkmap[lb])[bo:])
+		if idx, ok := d.blkmap[lb]; ok {
+			copy(p[:n], d.store.Data(idx)[bo:])
 		} else {
 			clear(p[:n])
 		}
@@ -225,15 +243,27 @@ func (d *Device) TruncateRange(lo, hi int64) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	freed := 0
+	if hi > d.end {
+		hi = d.end
+	}
 	for lb := (lo + block.Size - 1) / block.Size; (lb+1)*block.Size <= hi; lb++ {
-		if lb >= int64(len(d.blkmap)) || d.blkmap[lb] == block.NoBlock {
+		idx, ok := d.blkmap[lb]
+		if !ok {
 			continue
 		}
-		d.store.Free(d.blkmap[lb], 0)
-		d.blkmap[lb] = block.NoBlock
+		d.store.Free(idx, 0)
+		delete(d.blkmap, lb)
 		freed++
 	}
 	return freed
+}
+
+// extent returns the end of the logical space ever written: every offset
+// at or past it reads as zero.
+func (d *Device) extent() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.end
 }
 
 // BlocksMapped returns how many logical blocks currently hold storage —
@@ -241,13 +271,7 @@ func (d *Device) TruncateRange(lo, hi int64) int {
 func (d *Device) BlocksMapped() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, idx := range d.blkmap {
-		if idx != block.NoBlock {
-			n++
-		}
-	}
-	return n
+	return len(d.blkmap)
 }
 
 // Fingerprint hashes every materialized store block (FNV-1a over index

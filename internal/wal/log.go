@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/block"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -18,10 +21,10 @@ import (
 //	[4096,   8192)  superblock slot B
 //	[8192,   ...)   append stream: records and checkpoint blobs
 //
-// Record:      0xA7 | op u8 | seq u64 | plen u32 | payload | crc u32
-// Checkpoint:  0xC7 | seq u64 | plen u32 | payload | crc u32
-// Superblock:  "AWALSB1\0" | version u64 | ckptOff u64 | ckptLen u64 |
-//              ckptSeq u64 | logStart u64 | crc u32
+//	Record:      0xA7 | op u8 | seq u64 | plen u32 | payload | crc u32
+//	Checkpoint:  0xC7 | seq u64 | plen u32 | payload | crc u32
+//	Superblock:  "AWALSB1\0" | version u64 | ckptOff u64 | ckptLen u64 |
+//	             ckptSeq u64 | logStart u64 | crc u32
 //
 // Every crc is IEEE CRC-32 over all preceding bytes of the structure, so
 // a torn write — a prefix of the structure followed by zeros — is
@@ -44,14 +47,30 @@ const (
 	// maxPayload bounds a scanned record's claimed payload so garbage
 	// cannot induce giant allocations during recovery.
 	maxPayload = 1 << 24
+
+	// ckptChunk is the checkpoint encoder's write unit: a blob streams to
+	// the device through one buffer of this size, so a checkpoint's
+	// transient memory is the chunk, not the state.
+	ckptChunk = 64 << 10
+
+	// ckptLogRatio is the size half of the checkpoint cadence: the log
+	// must have absorbed at least 1/ckptLogRatio of the previous blob's
+	// bytes before the state is serialised again. It fixes three bounds at
+	// once (DESIGN.md §14): journal bytes per logged byte <= 1 +
+	// ckptLogRatio, replay tail <= state/ckptLogRatio, device footprint <=
+	// (2 + 1/ckptLogRatio) x state.
+	ckptLogRatio = 4
 )
 
 var sbMagic = [8]byte{'A', 'W', 'A', 'L', 'S', 'B', '1', 0}
 
 // Config tunes a Log.
 type Config struct {
-	// CheckpointEvery takes a snapshot checkpoint after this many
-	// appended records (0 = only explicit CheckpointNow calls).
+	// CheckpointEvery is the minimum number of appended records between
+	// snapshot checkpoints (0 = only explicit CheckpointNow calls). A
+	// checkpoint is taken once this many records AND a quarter of the
+	// previous checkpoint's bytes have been logged since it, so its cost
+	// is amortised over what the log absorbed, not over the whole tree.
 	CheckpointEvery int
 	// NoGroup disables the group-commit batcher: every append flushes the
 	// device inline before returning — the naive per-op durability
@@ -71,7 +90,11 @@ type Log struct {
 
 	mu  sync.Mutex // append/checkpoint section
 	end int64      // next append offset
-	seq uint64     // last assigned record seq
+	// seq is the seq of the last record written to the device. Stored
+	// under mu, only after the record's WriteAt returned; loaded without
+	// it by the flush leader, whose sync therefore covers every record up
+	// to the value it read.
+	seq atomic.Uint64
 	// shadow is the journal's own abstract state: every appended record
 	// applied in append order. By construction it equals the replay of
 	// the whole log, which makes checkpoints (encoded from it) correct by
@@ -79,16 +102,24 @@ type Log struct {
 	// divergence check: a record whose Aop fails against the shadow can
 	// never have succeeded concretely in that order.
 	shadow *spec.AFS
-	// sinceCkpt counts records since the last checkpoint; version is the
-	// next superblock version to write.
+	// sinceCkpt counts records since the last checkpoint, whose blob was
+	// ckptLen bytes and ended at logStart (both 0 before the first one);
+	// version is the next superblock version to write. Everything in
+	// [logBase, reclaimed) has gone back to the store, so a checkpoint
+	// truncates from there and its cost does not grow with the log's age.
 	sinceCkpt int
+	ckptLen   int64
+	logStart  int64
 	version   uint64
+	reclaimed int64
+	// ckptBuf is the checkpoint encoder's chunk, allocated by the first
+	// checkpoint and reused by every later one.
+	ckptBuf []byte
 
 	// Group commit: committers park on cond; one becomes the leader,
 	// flushes the device once, and publishes durableSeq for the batch.
-	// Lock order is strictly mu before cmu — Wait never touches mu while
-	// holding cmu (the leader releases cmu around its seq read and its
-	// flush), which is why broken lives here and not under mu.
+	// Wait never takes mu; Append and checkpoints take cmu inside mu,
+	// which is why broken lives here and not under mu.
 	cmu        sync.Mutex
 	cond       *sync.Cond
 	flushing   bool
@@ -108,10 +139,12 @@ type Log struct {
 // use Recover to read them first).
 func NewLog(dev *Device, cfg Config) *Log {
 	l := &Log{
-		dev:    dev,
-		cfg:    cfg,
-		end:    logBase,
-		shadow: spec.New(),
+		dev:       dev,
+		cfg:       cfg,
+		end:       logBase,
+		logStart:  logBase,
+		reclaimed: logBase,
+		shadow:    spec.New(),
 	}
 	l.cond = sync.NewCond(&l.cmu)
 	reg := cfg.Obs
@@ -148,22 +181,23 @@ func (l *Log) Append(op spec.Op, args spec.Args) (Ticket, error) {
 	if err := l.Broken(); err != nil {
 		return Ticket{}, err
 	}
+	seq := l.seq.Load() + 1
 	if ret, _ := l.shadow.Apply(op, args); ret.Err != nil {
 		// The caller's concrete operation succeeded; the same Aop failing
 		// against the shadow means the journal's order diverged from the
 		// linearization order — a bug worth failing loudly over.
 		return Ticket{}, fmt.Errorf("wal: shadow divergence at seq %d: %s %s: %w",
-			l.seq+1, op, args.String(), ret.Err)
+			seq, op, args.String(), ret.Err)
 	}
-	l.seq++
-	rec := encodeRecord(op, l.seq, args)
+	rec := encodeRecord(op, seq, args)
 	if err := l.dev.WriteAt(l.end, rec); err != nil {
 		l.fail(err)
 		return Ticket{}, err
 	}
+	l.seq.Store(seq)
 	l.end += int64(len(rec))
 	l.cAppends.Inc(0)
-	t := Ticket{l: l, seq: l.seq}
+	t := Ticket{l: l, seq: seq}
 	l.sinceCkpt++
 	if l.cfg.NoGroup {
 		if err := l.dev.Sync(); err != nil {
@@ -173,9 +207,10 @@ func (l *Log) Append(op spec.Op, args spec.Args) (Ticket, error) {
 		l.cCommits.Inc(0)
 		l.cBatched.Inc(0)
 		l.hBatch.Observe(0, 1)
-		l.setDurable(l.seq)
+		l.setDurable(seq)
 	}
-	if l.cfg.CheckpointEvery > 0 && l.sinceCkpt >= l.cfg.CheckpointEvery {
+	if l.cfg.CheckpointEvery > 0 && l.sinceCkpt >= l.cfg.CheckpointEvery &&
+		(l.end-l.logStart)*ckptLogRatio >= l.ckptLen {
 		if err := l.checkpointLocked(); err != nil {
 			l.fail(err)
 			return Ticket{}, err
@@ -232,9 +267,7 @@ func (t Ticket) Wait() error {
 		l.flushing = true
 		prev := l.durableSeq
 		l.cmu.Unlock()
-		l.mu.Lock()
-		cut := l.seq // t.seq <= cut: our record was appended before Wait
-		l.mu.Unlock()
+		cut := l.seq.Load() // t.seq <= cut: our record was appended before Wait
 		err := l.dev.Sync()
 		l.cmu.Lock()
 		l.flushing = false
@@ -279,6 +312,11 @@ func (l *Log) CheckpointNow() error {
 // seals it with a superblock flip, and physically truncates the log
 // prefix it supersedes. Called with l.mu held.
 //
+// The blob is streamed: spec.EncodeTree walks the shadow in place and
+// the bytes pass through one chunk buffer, checksummed and written a
+// chunk at a time, so a checkpoint copies the state once (into the
+// device) and allocates nothing that grows with it.
+//
 // Crash safety: the blob is written and synced BEFORE the superblock
 // that points at it, and the superblock goes to the slot the current
 // generation is not using. A crash anywhere in between leaves the old
@@ -286,30 +324,38 @@ func (l *Log) CheckpointNow() error {
 // bytes of the half-written new blob sit past the old log's records,
 // where the replay scan stops at the first non-record byte.
 func (l *Log) checkpointLocked() error {
-	payload := spec.AppendSubTree(nil, l.shadow.Export(l.shadow.Root))
-	blob := make([]byte, 0, ckptHdrSize+len(payload)+crcSize)
-	blob = append(blob, ckptMagic)
-	blob = binary.LittleEndian.AppendUint64(blob, l.seq)
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(payload)))
-	blob = append(blob, payload...)
-	blob = binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
-
+	seq := l.seq.Load()
+	plen := l.shadow.EncodedTreeSize(l.shadow.Root)
+	if plen > math.MaxUint32 {
+		return fmt.Errorf("wal: checkpoint payload of %d bytes does not fit the frame's 32-bit length", plen)
+	}
+	if l.ckptBuf == nil {
+		l.ckptBuf = make([]byte, 0, ckptChunk)
+	}
 	ckptOff := l.end
-	if err := l.dev.WriteAt(ckptOff, blob); err != nil {
+	w := chunkWriter{dev: l.dev, off: ckptOff, buf: l.ckptBuf[:0]}
+	var hdr [ckptHdrSize]byte
+	hdr[0] = ckptMagic
+	binary.LittleEndian.PutUint64(hdr[1:], seq)
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(plen))
+	w.write(hdr[:])
+	l.shadow.EncodeTree(l.shadow.Root, w.write)
+	if err := w.finish(); err != nil {
 		return err
 	}
 	if err := l.dev.Sync(); err != nil {
 		return err
 	}
-	l.end = ckptOff + int64(len(blob))
+	l.end = w.off
+	blobLen := l.end - ckptOff
 
 	l.version++
 	sb := make([]byte, 0, len(sbMagic)+5*8+crcSize)
 	sb = append(sb, sbMagic[:]...)
 	sb = binary.LittleEndian.AppendUint64(sb, l.version)
 	sb = binary.LittleEndian.AppendUint64(sb, uint64(ckptOff))
-	sb = binary.LittleEndian.AppendUint64(sb, uint64(len(blob)))
-	sb = binary.LittleEndian.AppendUint64(sb, l.seq)
+	sb = binary.LittleEndian.AppendUint64(sb, uint64(blobLen))
+	sb = binary.LittleEndian.AppendUint64(sb, seq)
 	sb = binary.LittleEndian.AppendUint64(sb, uint64(l.end))
 	sb = binary.LittleEndian.AppendUint32(sb, crc32.ChecksumIEEE(sb))
 	slot := int64(l.version%2) * sbSlotSize
@@ -322,20 +368,61 @@ func (l *Log) checkpointLocked() error {
 	// The checkpoint seals every record before it; their storage — and
 	// the previous checkpoint's — is reclaimable. The superblock slots
 	// below logBase are never truncated.
-	l.cTruncBl.Add(0, uint64(l.dev.TruncateRange(logBase, ckptOff)))
+	l.cTruncBl.Add(0, uint64(l.dev.TruncateRange(l.reclaimed, ckptOff)))
+	l.reclaimed = ckptOff &^ (block.Size - 1) // the block ckptOff is in stays mapped
 	l.sinceCkpt = 0
+	l.ckptLen, l.logStart = blobLen, l.end
 	l.cCkpts.Inc(0)
 	// A checkpoint makes everything up to its cut durable.
-	l.setDurable(l.seq)
+	l.setDurable(seq)
 	return nil
 }
 
-// LastSeq returns the seq of the last appended record.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+// chunkWriter frames a streamed structure onto the device: bytes gather
+// in buf and go out one full chunk per WriteAt, the running IEEE CRC-32
+// folded over each chunk as it leaves; finish appends the checksum of
+// everything written and flushes the rest. The first device error sticks
+// and turns later writes into no-ops, so an encoder walk needs no abort
+// path.
+type chunkWriter struct {
+	dev *Device
+	off int64 // device offset of buf[0]
+	buf []byte
+	crc uint32
+	err error
 }
+
+func (w *chunkWriter) write(p []byte) {
+	for len(p) > 0 && w.err == nil {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+n]
+		p = p[n:]
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+	}
+}
+
+func (w *chunkWriter) flush() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf)
+	if w.err = w.dev.WriteAt(w.off, w.buf); w.err == nil {
+		w.off += int64(len(w.buf))
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *chunkWriter) finish() error {
+	var sum [crcSize]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(w.crc, crc32.IEEETable, w.buf))
+	w.write(sum[:])
+	if len(w.buf) > 0 && w.err == nil {
+		w.flush()
+	}
+	return w.err
+}
+
+// LastSeq returns the seq of the last appended record.
+func (l *Log) LastSeq() uint64 { return l.seq.Load() }
 
 // DurableSeq returns the seq up to which records are known durable
 // (covered by a completed flush).

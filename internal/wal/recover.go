@@ -125,8 +125,11 @@ func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
 }
 
 func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, error) {
-	if length < ckptHdrSize+crcSize || length > maxPayload {
-		return nil, fmt.Errorf("implausible length %d", length)
+	// The length comes from a CRC-sealed superblock, not from scanned
+	// bytes, so it is bounded by what the device holds rather than by
+	// maxPayload: a state of any size that was written can be read back.
+	if ext := dev.extent(); length < ckptHdrSize+crcSize || off < logBase || length > ext-off {
+		return nil, fmt.Errorf("implausible extent [%d, +%d) on a device of %d bytes", off, length, ext)
 	}
 	blob := make([]byte, length)
 	if err := dev.ReadAt(off, blob); err != nil {

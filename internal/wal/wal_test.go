@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +346,7 @@ func TestCrashEveryByte(t *testing.T) {
 
 func TestDeviceCrashSemantics(t *testing.T) {
 	dev := newDev(t)
+	dev.RecordMarks()
 	dev.CrashAt(5)
 	if err := dev.WriteAt(0, []byte("abc")); err != nil {
 		t.Fatalf("pre-crash write: %v", err)
@@ -412,6 +415,48 @@ func TestDeviceTruncateRange(t *testing.T) {
 	}
 }
 
+// TestDeviceTableFollowsMappedBlocks slides a four-block window over a
+// logical space hundreds of times the store: the block table, the store
+// and the reads behind the window must all follow what is mapped now, not
+// what was ever written.
+func TestDeviceTableFollowsMappedBlocks(t *testing.T) {
+	const window, total = 4, 10000
+	dev := NewDevice(block.NewStore(2*window), 0)
+	buf := make([]byte, block.Size)
+	for lb := int64(0); lb < total; lb++ {
+		buf[0] = byte(lb)
+		if err := dev.WriteAt(lb*block.Size, buf); err != nil {
+			t.Fatalf("write of logical block %d: %v", lb, err)
+		}
+		if lo := lb - window + 1; lo > 0 {
+			// The range starts at 0 every time: what is already gone is
+			// not freed twice.
+			if n := dev.TruncateRange(0, lo*block.Size); n != 1 {
+				t.Fatalf("truncate below block %d freed %d blocks, want 1", lo, n)
+			}
+		}
+		if got := len(dev.blkmap); got > window {
+			t.Fatalf("table holds %d entries at logical block %d, window is %d", got, lb, window)
+		}
+	}
+	if ext := dev.extent(); ext != total*block.Size {
+		t.Fatalf("extent = %d, want %d", ext, total*block.Size)
+	}
+	got := make([]byte, 1)
+	for lb := int64(total - 2*window); lb < total; lb++ {
+		if err := dev.ReadAt(lb*block.Size, got); err != nil {
+			t.Fatal(err)
+		}
+		want := byte(lb)
+		if lb < total-window {
+			want = 0
+		}
+		if got[0] != want {
+			t.Fatalf("logical block %d reads %d, want %d", lb, got[0], want)
+		}
+	}
+}
+
 func TestDeviceReproducible(t *testing.T) {
 	run := func() uint64 {
 		dev := newDev(t)
@@ -453,5 +498,306 @@ func TestBrokenLogRejectsAppends(t *testing.T) {
 	}
 	if err := l.CheckpointNow(); !errors.Is(err, ErrCrashed) {
 		t.Fatal("checkpoint after broken accepted")
+	}
+}
+
+func TestUnarmedDeviceKeepsNoMarks(t *testing.T) {
+	dev := newDev(t)
+	for i := 0; i < 10000; i++ {
+		if err := dev.WriteAt(int64(i%64), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := dev.Marks(); m != nil {
+		t.Fatalf("un-armed device recorded %d marks", len(m))
+	}
+	dev.RecordMarks()
+	if err := dev.WriteAt(0, []byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	if m := dev.Marks(); len(m) != 1 || m[0] != 10002 {
+		t.Fatalf("armed marks = %v, want [10002]", m)
+	}
+}
+
+// TestWaitIgnoresAppendLock: a committer whose record is already on the
+// device must not queue behind another client's append or checkpoint.
+func TestWaitIgnoresAppendLock(t *testing.T) {
+	l := NewLog(newDev(t), Config{})
+	tk, err := l.Append(spec.OpMkdir, spec.Args{Path: "/a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock() // another client is inside its append section
+	defer l.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- tk.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait blocked on the append mutex")
+	}
+	if l.DurableSeq() != 1 {
+		t.Fatalf("durableSeq = %d, want 1", l.DurableSeq())
+	}
+}
+
+// fillState appends nFiles files of fileSize bytes each, 64 to a
+// directory, as /data/d<nn>/f<nn>, and returns the bytes of the records
+// it appended.
+func fillState(tb testing.TB, l *Log, nFiles, fileSize int) (recBytes int64) {
+	tb.Helper()
+	app := func(op spec.Op, args spec.Args) {
+		tb.Helper()
+		if _, err := l.Append(op, args); err != nil {
+			tb.Fatalf("%s %s: %v", op, args.Path, err)
+		}
+		recBytes += int64(len(encodeRecord(op, 0, args)))
+	}
+	app(spec.OpMkdir, spec.Args{Path: "/data"})
+	data := make([]byte, fileSize)
+	for i := 0; i < nFiles; i++ {
+		for j := range data {
+			data[j] = byte(i + j)
+		}
+		dir := fmt.Sprintf("/data/d%02d", i/64)
+		if i%64 == 0 {
+			app(spec.OpMkdir, spec.Args{Path: dir})
+		}
+		path := fmt.Sprintf("%s/f%02d", dir, i%64)
+		app(spec.OpMknod, spec.Args{Path: path})
+		app(spec.OpWrite, spec.Args{Path: path, Data: data})
+	}
+	return recBytes
+}
+
+// TestCheckpointChunkBoundaryCrashes sweeps the crash point over every
+// WriteAt boundary (± 1 byte) of a checkpoint that spans several chunks:
+// recovery must land on the previous generation plus its whole tail or on
+// the new generation — the same state either way — and never fail.
+func TestCheckpointChunkBoundaryCrashes(t *testing.T) {
+	// setup builds generation 1 (a small blob) and, as its tail, more than
+	// three chunks of state; the caller then takes the checkpoint under
+	// test. No crash point of the sweep lies inside setup.
+	setup := func(dev *Device) *Log {
+		l := NewLog(dev, Config{})
+		if _, err := l.Append(spec.OpMkdir, spec.Args{Path: "/old"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		fillState(t, l, 4, ckptChunk-1000)
+		return l
+	}
+
+	dry := newBigDev(16 << 20)
+	l := setup(dry)
+	ckptStart := dry.Written()
+	dry.RecordMarks()
+	if err := l.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	wantSeq, wantKey := l.LastSeq(), l.ShadowKey()
+	marks := dry.Marks() // the blob's chunks, then the superblock
+	if len(marks) < 3+1 {
+		t.Fatalf("checkpoint took %d writes, want >= 3 chunks and a superblock", len(marks))
+	}
+	cuts := []int64{ckptStart, ckptStart + 1}
+	for _, m := range marks {
+		cuts = append(cuts, m-1, m, m+1)
+	}
+
+	gens := map[uint64]int{}
+	for _, k := range cuts {
+		dev := newBigDev(16 << 20)
+		dev.CrashAt(k)
+		if err := setup(dev).CheckpointNow(); err != nil && !errors.Is(err, ErrCrashed) {
+			t.Fatalf("crash@%d: checkpoint: %v", k, err)
+		}
+		afs, info, err := Recover(dev, nil)
+		if err != nil {
+			t.Fatalf("crash@%d: recover: %v", k, err)
+		}
+		if info.LastSeq != wantSeq || afs.Key() != wantKey {
+			t.Fatalf("crash@%d: recovered seq %d from sb v%d, want seq %d and the full state",
+				k, info.LastSeq, info.SuperblockVersion, wantSeq)
+		}
+		switch {
+		case info.SuperblockVersion == 1 && info.CkptSeq == 1 && info.Replayed == int(wantSeq)-1:
+		case info.SuperblockVersion == 2 && info.CkptSeq == wantSeq && info.Replayed == 0:
+		default:
+			t.Fatalf("crash@%d: neither generation 1 + tail nor generation 2: %+v", k, info)
+		}
+		gens[info.SuperblockVersion]++
+	}
+	if gens[1] == 0 || gens[2] == 0 {
+		t.Fatalf("sweep did not reach both generations: %v", gens)
+	}
+}
+
+func newBigDev(bytes int) *Device {
+	return NewDevice(block.NewStore(bytes/block.Size), 0)
+}
+
+// TestLargeCheckpointRecovers: a state past the 16 MiB cap on scanned
+// records must still checkpoint and recover — the sealed superblock, not
+// the scan, vouches for the blob's length.
+func TestLargeCheckpointRecovers(t *testing.T) {
+	dev := newBigDev(96 << 20)
+	l := NewLog(dev, Config{})
+	fillState(t, l, 5, 4<<20)
+	if err := l.CheckpointNow(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if l.ckptLen <= maxPayload {
+		t.Fatalf("blob is %d bytes, test needs > %d", l.ckptLen, maxPayload)
+	}
+	if _, err := l.Append(spec.OpMknod, spec.Args{Path: "/after"}); err != nil {
+		t.Fatal(err)
+	}
+	afs, info, err := Recover(dev, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if info.CkptSeq != l.LastSeq()-1 || info.Replayed != 1 {
+		t.Fatalf("info = %+v", info)
+	}
+	if afs.Key() != l.ShadowKey() {
+		t.Fatal("recovered state diverges from shadow")
+	}
+}
+
+func TestFirstCheckpointAtCheckpointEvery(t *testing.T) {
+	reg := obs.NewRegistry()
+	l := NewLog(newDev(t), Config{CheckpointEvery: 8, Obs: reg})
+	ckpts := reg.Counter("wal_checkpoints_total")
+	for i := 0; i < 8; i++ {
+		if got := ckpts.Value(); got != 0 {
+			t.Fatalf("%d checkpoints after %d records", got, i)
+		}
+		if _, err := l.Append(spec.OpMknod, spec.Args{Path: "/f" + string(rune('0'+i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ckpts.Value(); got != 1 {
+		t.Fatalf("%d checkpoints after 8 records, want 1", got)
+	}
+}
+
+// TestCheckpointCadenceBounds holds the size-amortised cadence to its
+// stated bounds on a state much larger than CheckpointEvery records:
+// journal bytes <= 6 x record bytes + 2 S, and device footprint — mapped
+// now, and ever materialised in the store — <= 2.25 S plus slack.
+func TestCheckpointCadenceBounds(t *testing.T) {
+	store := block.NewStore(16 << 10)
+	dev := NewDevice(store, 0)
+	reg := obs.NewRegistry()
+	l := NewLog(dev, Config{CheckpointEvery: 4, Obs: reg})
+	fillState(t, l, 16, 64<<10)
+	if err := l.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	S := l.ckptLen
+	w0, c0 := dev.Written(), reg.Counter("wal_checkpoints_total").Value()
+
+	// Overwrites keep the state at S bytes while the log grows.
+	var recBytes int64
+	args := spec.Args{Path: "/data/d00/f00", Data: make([]byte, 512)}
+	for i := 0; i < 4000; i++ {
+		args.Off = int64(i%64) * 512
+		if _, err := l.Append(spec.OpWrite, args); err != nil {
+			t.Fatal(err)
+		}
+		recBytes += int64(len(encodeRecord(spec.OpWrite, 0, args)))
+	}
+	ckpts := int64(reg.Counter("wal_checkpoints_total").Value() - c0)
+	if ckpts < 2 {
+		t.Fatalf("%d checkpoints over %d log bytes on a %d-byte state: the test exercises nothing", ckpts, recBytes, S)
+	}
+	if written := dev.Written() - w0; written > 6*recBytes+2*S {
+		t.Fatalf("journal wrote %d bytes for %d record bytes on a %d-byte state (%d checkpoints): over 6R + 2S",
+			written, recBytes, S, ckpts)
+	}
+	const slack = 32 * block.Size // superblocks, block rounding, CheckpointEvery records
+	limit := S*9/4 + slack
+	if mapped := int64(dev.BlocksMapped()) * block.Size; mapped > limit {
+		t.Fatalf("device maps %d bytes, bound is %d", mapped, limit)
+	}
+	var peak int64
+	store.Range(func(block.Index, []byte) bool { peak += block.Size; return true })
+	if peak > limit {
+		t.Fatalf("store materialised %d bytes, bound is %d", peak, limit)
+	}
+	afs, _, err := Recover(dev, nil)
+	if err != nil || afs.Key() != l.ShadowKey() {
+		t.Fatalf("recover after cadence run: %v", err)
+	}
+}
+
+// TestCheckpointReclaimsIncrementally: a checkpoint truncates from where
+// the last one stopped, not from logBase, and misses nothing by it — after
+// every checkpoint of a growing and shrinking state exactly the blocks
+// from the new blob on are mapped, beside the superblock slots.
+func TestCheckpointReclaimsIncrementally(t *testing.T) {
+	dev := NewDevice(block.NewStore(4096), 0)
+	l := NewLog(dev, Config{})
+	data := make([]byte, 3*block.Size+17)
+	for i := 0; i < 40; i++ {
+		path := fmt.Sprintf("/f%02d", i)
+		if _, err := l.Append(spec.OpMknod, spec.Args{Path: path}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(spec.OpWrite, spec.Args{Path: path, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if _, err := l.Append(spec.OpUnlink, spec.Args{Path: fmt.Sprintf("/f%02d", i-1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev := l.reclaimed
+		if err := l.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		if l.reclaimed <= prev {
+			t.Fatalf("checkpoint %d: reclaimed stayed at %d", i, prev)
+		}
+		sbs := min(int(l.version), 2) // slot A is first written by the second checkpoint
+		want := sbs + int((l.end+block.Size-1)/block.Size-l.reclaimed/block.Size)
+		if got := dev.BlocksMapped(); got != want {
+			t.Fatalf("checkpoint %d: %d blocks mapped, want %d (the blob at %d..%d and the superblocks)",
+				i, got, want, l.reclaimed, l.end)
+		}
+	}
+	afs, _, err := Recover(dev, nil)
+	if err != nil || afs.Key() != l.ShadowKey() {
+		t.Fatalf("recover: %v", err)
+	}
+}
+
+// TestCheckpointAllocatesChunkNotState: the streaming encoder's transient
+// allocation is bounded by its chunk, whatever the size of the state.
+func TestCheckpointAllocatesChunkNotState(t *testing.T) {
+	l := NewLog(newBigDev(64<<20), Config{})
+	fillState(t, l, 64, 64<<10) // 4 MiB
+	// The first checkpoint allocates the chunk; the rest reuse it.
+	if err := l.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if err := l.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > ckptChunk {
+		t.Fatalf("a checkpoint of %d bytes allocated %d, want <= one %d-byte chunk", l.ckptLen, per, ckptChunk)
 	}
 }
