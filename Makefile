@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint verify bench bench-json bench-writepath bench-scale bench-shard bench-compare bench-scale-compare bench-shard-compare fairness obs-overhead figures conform interdep loc clean fuzz fuzz-smoke cover crash-fuzz wal-bench wal-bench-compare
+.PHONY: all build test race lint verify bench bench-json bench-writepath bench-shard bench-compare bench-shard-compare fairness obs-overhead figures conform interdep loc clean fuzz fuzz-smoke cover crash-fuzz wal-bench wal-bench-compare
 
 all: build test
 
@@ -79,12 +79,6 @@ bench-json:
 bench-writepath:
 	$(GO) run ./cmd/benchjson -suite writepath -o BENCH_writepath.json
 
-# Multicore scaling matrix (read-mostly 95/5 across GOMAXPROCS={1,4,16,32}
-# for atomfs / atomfs-fastpath / atomfs-epoch, plus the fig10 git-clone
-# guard cells): regenerate the committed baseline.
-bench-scale:
-	$(GO) run ./cmd/benchjson -suite scale -o BENCH_scale.json
-
 # Sharded-namespace matrix (DESIGN.md §13): simulator scaling cells for
 # 1/2/4 volumes (the suite itself enforces >= 2x aggregate mutation
 # throughput at 4 volumes) plus real mount-resolve-overhead and
@@ -118,16 +112,6 @@ wal-bench-compare:
 bench-compare:
 	$(GO) run ./cmd/benchjson -suite writepath -o /tmp/BENCH_writepath_current.json
 	$(GO) run ./cmd/benchdiff -base BENCH_writepath.json -cur /tmp/BENCH_writepath_current.json
-
-# Scaling regression gate: a fresh scale run must stay within 15% of the
-# committed BENCH_scale.json, and the cross-cell fig10 guard must hold —
-# the fast-path variants may not lose to plain atomfs on git-clone by
-# more than the threshold, regardless of how all three drift.
-bench-scale-compare:
-	$(GO) run ./cmd/benchjson -suite scale -o /tmp/BENCH_scale_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_scale.json -cur /tmp/BENCH_scale_current.json \
-		-pair "scale/git-clone/atomfs-fastpath<=scale/git-clone/atomfs" \
-		-pair "scale/git-clone/atomfs-epoch<=scale/git-clone/atomfs"
 
 # Shard regression gate. The simulator cells are deterministic (virtual
 # ticks), so they hold exactly at any threshold and the monotonicity

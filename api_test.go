@@ -67,7 +67,7 @@ func TestPublicMonitorFlow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fs.Mknod(tctx, "/a/f" + string(rune('0'+i)))
+			fs.Mknod(tctx, "/a/f"+string(rune('0'+i)))
 		}(i)
 	}
 	wg.Wait()

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/atomfs"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/fsapi"
 	"repro/internal/fuse"
 	"repro/internal/history"
@@ -87,23 +86,12 @@ func WithFastPath() Option { return atomfs.WithFastPath() }
 // any mismatch (see DESIGN.md §11).
 func WithPrefixCache() Option { return atomfs.WithPrefixCache() }
 
-// WithEpoch enables wait-free reads via epoch-based reclamation: Stat,
-// Read, and Readdir pin a reader epoch, walk with no locks and a single
-// terminal seqlock check (never spinning against writers), and unlinked
-// nodes are freed only after two grace periods (see DESIGN.md §12).
-// Implies the fast path.
-func WithEpoch() Option { return atomfs.WithEpoch() }
-
 // WithJournal attaches a durable write-ahead operation journal: the
 // monitor appends every mutating Aop at its LP commit point, operations
 // block on group-commit durability before returning, and wal.Recover
 // replays the committed prefix after a crash (see DESIGN.md §14).
 // Requires WithMonitor.
 func WithJournal(l *wal.Log) Option { return atomfs.WithJournal(l) }
-
-// EpochStats is a point-in-time snapshot of the reclamation domain:
-// epoch, pins, retired/freed counts, advances, and stalls.
-type EpochStats = epoch.Stats
 
 // Registry is a lock-free metrics registry plus flight recorder; see
 // DESIGN.md §8 and the internal/obs package documentation.

@@ -20,9 +20,9 @@
 // the live abstract state. -journal implies -monitor.
 //
 // With -volumes, the daemon serves a sharded namespace: each listed path
-// is an independent AtomFS volume (its own lock hierarchy, monitor,
-// prefix-cache and epoch domain) behind a mount table; renames across
-// volumes run the two-phase helped protocol (DESIGN.md §13). With
+// is an independent AtomFS volume (its own lock hierarchy, monitor and
+// prefix cache) behind a mount table; renames across volumes run the
+// two-phase helped protocol (DESIGN.md §13). With
 // -quota, requests labelled with a tenant (fuse.Client.SetTenant) are
 // paced by per-tenant token buckets before they can occupy a dispatch
 // slot; each entry is tenant=rate[/burst[/maxqueue]].
@@ -40,6 +40,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -77,7 +78,6 @@ func main() {
 	monitored := flag.Bool("monitor", false, "run under the CRL-H monitor")
 	fastpath := flag.Bool("fastpath", false, "enable the lockless read fast path (DESIGN.md s7)")
 	prefix := flag.Bool("prefix", false, "enable the write-path prefix cache (DESIGN.md s11)")
-	epochMode := flag.Bool("epoch", false, "enable wait-free reads via epoch-based reclamation (DESIGN.md s12, implies -fastpath)")
 	blocks := flag.Int("blocks", 1<<18, "ramdisk size in 4KiB blocks")
 	debug := flag.String("debug", "", "serve /metrics, /debug/vars, /debug/flightrec and /debug/pprof on this address (e.g. :6060)")
 	volumes := flag.String("volumes", "", "comma-separated mount points, each served by an independent volume (e.g. /v0,/v1)")
@@ -104,9 +104,6 @@ func main() {
 	}
 	if *prefix {
 		opts = append(opts, atomfs.WithPrefixCache())
-	}
-	if *epochMode {
-		opts = append(opts, atomfs.WithEpoch())
 	}
 	// Each volume gets its own monitor and watchdog: the CRL-H ghost
 	// state is per-volume, matching the per-volume lock hierarchies.
@@ -169,7 +166,10 @@ func main() {
 	network, bind := "tcp", *addr
 	if *unix != "" {
 		network, bind = "unix", *unix
-		os.Remove(bind) // stale socket from a previous run
+		if err := removeStaleSocket(bind); err != nil {
+			fmt.Fprintf(os.Stderr, "atomfsd: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	lis, err := net.Listen(network, bind)
 	if err != nil {
@@ -283,4 +283,22 @@ func main() {
 		}
 		fmt.Printf("atomfsd: vol %d journal verified (%s; %d blocks mapped)\n", i, info, devs[i].BlocksMapped())
 	}
+}
+
+// removeStaleSocket clears the way for listening on a unix socket at
+// path: a socket left by a previous run is removed, a missing path is
+// fine, and anything else (a regular file, a directory, a symlink) is
+// kept and reported, so a mistyped -unix never deletes a user's file.
+func removeStaleSocket(path string) error {
+	fi, err := os.Lstat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if fi.Mode().Type() != os.ModeSocket {
+		return fmt.Errorf("-unix %s: exists and is not a socket", path)
+	}
+	return os.Remove(path)
 }

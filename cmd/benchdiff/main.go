@@ -6,12 +6,12 @@
 //
 // A repeatable -pair "A<=B" flag adds cross-cell guards evaluated
 // against the CURRENT report alone: cell A's ns/op must not exceed cell
-// B's by more than the threshold. This is how the fig10 fast-path
-// regression is pinned — the fast path must not lose to plain atomfs on
-// the same workload, regardless of how both drift against the baseline:
+// B's by more than the threshold. This is how the durability win is
+// pinned — group commit must not lose to per-op flushing on the same
+// workload, regardless of how both drift against the baseline:
 //
-//	benchdiff -base BENCH_scale.json -cur out.json \
-//	  -pair "scale/git-clone/atomfs-fastpath<=scale/git-clone/atomfs"
+//	benchdiff -base BENCH_wal.json -cur out.json \
+//	  -pair "wal/group-commit/parallel-create-8thr/group<=wal/group-commit/parallel-create-8thr/nogroup"
 //
 // The nightly CI job runs:
 //
@@ -35,7 +35,7 @@ import (
 // pairList collects repeatable -pair "A<=B" guards.
 type pairList []string
 
-func (p *pairList) String() string     { return strings.Join(*p, ",") }
+func (p *pairList) String() string { return strings.Join(*p, ",") }
 func (p *pairList) Set(v string) error {
 	if !strings.Contains(v, "<=") {
 		return fmt.Errorf("pair %q: want \"A<=B\"", v)

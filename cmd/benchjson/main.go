@@ -1,7 +1,7 @@
 // Command benchjson runs a performance-trajectory benchmark matrix
 // outside `go test` and writes the results as JSON (one record per
 // benchmark: name, ns/op, allocs/op, fast-path or prefix-cache counts,
-// and sampled latency quantiles from the obs registry). Two suites:
+// and sampled latency quantiles from the obs registry). Four suites:
 //
 //   - fastpath (default): the FastPath family plus Fig-10/Fig-11-style
 //     workloads → BENCH_fastpath.json (`make bench-json`).
@@ -9,12 +9,6 @@
 //     mixes, root lock-coupling vs. the prefix cache →
 //     BENCH_writepath.json (`make bench-writepath`). cmd/benchdiff
 //     compares a fresh run against the committed baseline in CI.
-//   - scale: the multicore scaling matrix — read-mostly-95-5 across a
-//     GOMAXPROCS={1,4,16,32} sweep for atomfs, atomfs-fastpath, and
-//     atomfs-epoch, plus the fig10 git-clone guard cells →
-//     BENCH_scale.json (`make bench-scale`). The epoch cells must show
-//     the seqlock spin storm gone (fastpath_seq_spins collapses to zero)
-//     with read latency no worse.
 //   - shard: the sharded-namespace matrix (DESIGN.md §13) —
 //     virtual-time simulated mutation scaling across volume counts
 //     (the 4-volume cell must show at least 2x the 1-volume aggregate
@@ -31,7 +25,6 @@
 //
 //	benchjson                     # write BENCH_fastpath.json
 //	benchjson -suite writepath    # write BENCH_writepath.json
-//	benchjson -suite scale        # write BENCH_scale.json
 //	benchjson -suite shard        # write BENCH_shard.json
 //	benchjson -suite wal          # write BENCH_wal.json
 //	benchjson -o out.json         # write elsewhere
@@ -81,10 +74,6 @@ type record struct {
 	FastFalls   *uint64 `json:"fastpath_fallbacks,omitempty"`
 	FastRetries *uint64 `json:"fastpath_seq_spins,omitempty"`
 	FastVetoed  *uint64 `json:"fastpath_vetoed,omitempty"`
-	// Epoch-reclamation stats (scale suite, atomfs-epoch cells only).
-	EpochAdvances *uint64 `json:"epoch_advances,omitempty"`
-	EpochFreed    *uint64 `json:"epoch_freed,omitempty"`
-	EpochStalls   *uint64 `json:"epoch_stalls,omitempty"`
 	// SimSpeedup is the simulated aggregate-throughput ratio of a
 	// shard-sim cell against its suite's vols-1 baseline (shard suite
 	// only; the cell's ns_per_op is virtual ticks per op, not wall ns).
@@ -135,7 +124,7 @@ func atomfsSys(extra ...atomfs.Option) sysUnderTest {
 func main() {
 	out := flag.String("o", "", "output file (default BENCH_<suite>.json)")
 	quick := flag.Bool("quick", false, "shorter runs (for smoke testing the tool)")
-	suite := flag.String("suite", "fastpath", "benchmark suite: fastpath or writepath")
+	suite := flag.String("suite", "fastpath", "benchmark suite: fastpath, writepath, shard, or wal")
 	flag.Parse()
 
 	var results []record
@@ -144,14 +133,12 @@ func main() {
 		results = fastpathSuite(*quick)
 	case "writepath":
 		results = writepathSuite(*quick)
-	case "scale":
-		results = scaleSuite(*quick)
 	case "shard":
 		results = shardSuite(*quick)
 	case "wal":
 		results = walSuite(*quick)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown suite %q (want fastpath, writepath, scale, shard, or wal)\n", *suite)
+		fmt.Fprintf(os.Stderr, "unknown suite %q (want fastpath, writepath, shard, or wal)\n", *suite)
 		os.Exit(2)
 	}
 
@@ -217,47 +204,6 @@ func fastpathSuite(quick bool) []record {
 				}
 			}))
 		}
-	}
-	return results
-}
-
-// scaleSuite is the multicore scaling matrix the epoch work is judged
-// by: the read-mostly 95/5 tentpole cell across a GOMAXPROCS sweep for
-// the lock-coupled baseline, the seqlock-validated fast path, and the
-// epoch-reclamation fast path. Under the seqlock design, widening
-// GOMAXPROCS turns writer seqlock sections into reader spin storms
-// (fastpath_seq_spins grows with parallelism); under epochs a reader
-// loads the seqlock once and falls back on an odd count, so the spins
-// column must collapse to zero at every width. The git-clone cells feed
-// cmd/benchdiff's -pair guard: the fast path (adaptive veto in force)
-// must not lose to plain atomfs on a mutation-heavy trace.
-func scaleSuite(quick bool) []record {
-	systems := []struct {
-		name string
-		mk   func() sysUnderTest
-	}{
-		{"atomfs", func() sysUnderTest { return atomfsSys() }},
-		{"atomfs-fastpath", func() sysUnderTest { return atomfsSys(atomfs.WithFastPath()) }},
-		{"atomfs-epoch", func() sysUnderTest { return atomfsSys(atomfs.WithEpoch()) }},
-	}
-	widths := []int{1, 4, 16, 32}
-	if quick {
-		widths = []int{1, 4}
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var results []record
-	for _, w := range widths {
-		runtime.GOMAXPROCS(w)
-		for _, s := range systems {
-			results = append(results, benchFS(
-				fmt.Sprintf("scale/read-mostly-95-5/p%d/%s", w, s.name),
-				s.mk, readMostly))
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-	for _, s := range systems {
-		results = append(results, benchRuns("scale/git-clone/"+s.name, s.mk, workload.GitClone))
 	}
 	return results
 }
@@ -658,18 +604,6 @@ func fillObs(rec *record, sut sysUnderTest) {
 	if v, ok := reg.FuncValue("atomfs_fastpath_vetoed_total"); ok && v > 0 {
 		u := uint64(v)
 		rec.FastVetoed = &u
-	}
-	if v, ok := reg.FuncValue("atomfs_epoch_advances_total"); ok && v > 0 {
-		u := uint64(v)
-		rec.EpochAdvances = &u
-	}
-	if v, ok := reg.FuncValue("atomfs_epoch_freed_total"); ok && v > 0 {
-		u := uint64(v)
-		rec.EpochFreed = &u
-	}
-	if v, ok := reg.FuncValue("atomfs_epoch_stalls_total"); ok && v > 0 {
-		u := uint64(v)
-		rec.EpochStalls = &u
 	}
 	// Journal counters (wal suite cells only).
 	if appends := reg.Counter("wal_appends_total").Value(); appends > 0 {

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/atomfs"
 	"repro/internal/benchutil"
-	"repro/internal/dcache"
 	"repro/internal/fsapi"
 	"repro/internal/memfs"
 	"repro/internal/multicore"
@@ -184,10 +183,6 @@ func figure10(quick bool, depth int) {
 		{"atomfs-prefix", func() fsapi.FS {
 			return atomfs.New(atomfs.WithPrefixCache(), atomfs.WithObs(fo.reg("atomfs-prefix")))
 		}},
-		{"atomfs-epoch", func() fsapi.FS {
-			return atomfs.New(atomfs.WithEpoch(), atomfs.WithObs(fo.reg("atomfs-epoch")))
-		}},
-		{"atomfs+dcache", func() fsapi.FS { return dcache.New(atomfs.New(atomfs.WithObs(fo.reg("atomfs+dcache")))) }},
 		{"tmpfs~memfs", func() fsapi.FS { return memfs.New() }},
 		{"ext4~retryfs", func() fsapi.FS { return retryfs.New() }},
 	}
@@ -263,9 +258,6 @@ func figure11(personality string, maxThreads int, quick bool) {
 		}},
 		{"atomfs-fastpath", func() fsapi.FS {
 			return atomfs.New(atomfs.WithFastPath(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-fastpath")))
-		}},
-		{"atomfs-epoch", func() fsapi.FS {
-			return atomfs.New(atomfs.WithEpoch(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-epoch")))
 		}},
 		{"atomfs-biglock", func() fsapi.FS {
 			return atomfs.New(atomfs.WithBigLock(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-biglock")))

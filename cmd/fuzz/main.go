@@ -43,7 +43,6 @@ func main() {
 	bug := flag.String("bug", "", "re-introduce a known bug: fixedlp (Figure 1) or unsafe (Figure 8)")
 	fastpath := flag.String("fastpath", "auto", "lockless read fast path: auto, on, off")
 	prefix := flag.String("prefix", "auto", "write-path prefix cache: auto, on, off")
-	epochF := flag.String("epoch", "auto", "epoch-based reclamation for reads: auto, on, off")
 	faultProb := flag.Float64("faults", 0.3, "per-thread fault-injection probability in generated seeds")
 	maxRuns := flag.Int("max-runs", 0, "stop after this many executions (0 = budget only)")
 	reproOut := flag.String("repro", "", "write the shrunk repro of a finding to this file")
@@ -64,7 +63,6 @@ func main() {
 		OpsPerThread: *ops,
 		FastPath:     *fastpath,
 		Prefix:       *prefix,
-		Epoch:        *epochF,
 		FaultProb:    *faultProb,
 		MaxRuns:      *maxRuns,
 	}
@@ -106,7 +104,7 @@ func main() {
 
 	if *reproOut != "" {
 		notes := []string{
-			fmt.Sprintf("found by cmd/fuzz -seed %d (bug=%s fastpath=%s prefix=%s epoch=%s) after %d runs", *seed, *bug, *fastpath, *prefix, *epochF, rep.Runs),
+			fmt.Sprintf("found by cmd/fuzz -seed %d (bug=%s fastpath=%s prefix=%s) after %d runs", *seed, *bug, *fastpath, *prefix, rep.Runs),
 			fmt.Sprintf("shrunk %d->%d ops; replay: fsreplay -repro <this file>", f.OrigOps, f.MinOps),
 		}
 		if ce := f.Result.Counterexample; ce != nil {

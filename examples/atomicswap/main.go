@@ -8,8 +8,8 @@
 package main
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"runtime"

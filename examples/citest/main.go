@@ -24,7 +24,7 @@ var ctx = context.Background()
 func appWorkload(fs atomfs.FS, id int) {
 	work := fmt.Sprintf("/work-%d", id)
 	fs.Mkdir(ctx, work)
-	fs.Mknod(ctx, work + "/out")
+	fs.Mknod(ctx, work+"/out")
 	fs.Write(ctx, work+"/out", 0, []byte(fmt.Sprintf("result of stage %d", id)))
 	fs.Rename(ctx, work+"/out", fmt.Sprintf("/published-%d", id))
 	fs.Rmdir(ctx, work)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/dir"
-	"repro/internal/epoch"
 	"repro/internal/file"
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
@@ -120,21 +119,6 @@ const (
 	// rename source, rename's overwritten victim), just before its detach
 	// generation is bumped. Ino identifies the detached inode.
 	HookGenStamp
-	// HookEpochPin fires, under WithEpoch only, before a read-only
-	// operation pins the reclamation epoch (one load + one store — the
-	// pin itself can never block), and HookEpochUnpin after it unpins.
-	// Parking between them holds the epoch back and lets a test pile up
-	// limbo entries under a pinned reader.
-	HookEpochPin
-	HookEpochUnpin
-	// HookEpochRetire fires, under WithEpoch only, inside a namespace
-	// mutation's critical section just before the detached directory
-	// entry is pushed onto the current epoch's limbo list.
-	HookEpochRetire
-	// HookEpochAdvance fires, under WithEpoch only, after a mutation has
-	// left its seqlock section and before it attempts the bounded epoch
-	// advance that reclaims limbo entries past their grace periods.
-	HookEpochAdvance
 )
 
 // HookEvent describes one hook firing.
@@ -207,15 +191,6 @@ type FS struct {
 	fastVeto   atomic.Int32
 	fastVetoed atomic.Uint64
 
-	// Epoch-protected read path (WithEpoch, implies WithFastPath): reads
-	// pin edom instead of spinning on mseq, mutations retire detached
-	// entries and unreferenced nodes into edom's limbo and drive its
-	// bounded advance from mutEnd. erecs pools the padded reader records
-	// per FS (the op pool is package-global and must not cache them).
-	epochMode bool
-	edom      *epoch.Domain
-	erecs     sync.Pool
-
 	// Seqlock-validated prefix cache (WithPrefixCache): write-path walks
 	// start lock coupling at the deepest cached ancestor instead of the
 	// root, validated by per-node detach generations (node.gen).
@@ -274,25 +249,6 @@ func WithHook(h HookFunc) Option { return func(fs *FS) { fs.SetHook(h) } }
 // with WithBigLock (big-lock operations mutate without per-inode locks, so
 // a fast-path reader could observe torn file data).
 func WithFastPath() Option { return func(fs *FS) { fs.fastPath = true } }
-
-// WithEpoch replaces the fast path's bounded seqlock snapshot with
-// epoch-based reclamation (implies WithFastPath): Stat, Read and Readdir
-// pin the reclamation epoch, take ONE sequence-counter load (a writer in
-// flight means an immediate fallback, never a spin), walk lock-free, and
-// linearize at a single final-instant validation at the terminal inode —
-// via the monitor's ReadEpochEntry when monitored. Mutations retire what
-// they detach into per-epoch limbo lists, freed only after two grace
-// periods, and drive a bounded, non-blocking epoch advance from their
-// unlock path. With WithPrefixCache, epoch readers additionally enter
-// the walk at the deepest cached ancestor, validated by generation
-// stamps alone — no lock acquisition on the way down. Incompatible with
-// WithBigLock for the same reason as WithFastPath.
-func WithEpoch() Option {
-	return func(fs *FS) {
-		fs.epochMode = true
-		fs.fastPath = true
-	}
-}
 
 // WithPrefixCache enables the seqlock-validated path-prefix cache: every
 // lock-coupled walk (the write path and the reads' slow path) looks up
@@ -356,11 +312,6 @@ func New(opts ...Option) *FS {
 	if fs.prefix {
 		fs.pcache = newPrefixCache()
 	}
-	if fs.epochMode {
-		fs.edom = epoch.NewDomain()
-		d := fs.edom
-		fs.erecs.New = func() any { return d.Register() }
-	}
 	fs.root = &node{ino: spec.RootIno, kind: spec.KindDir, dir: dir.New[*node]()}
 	fs.nextIno.Store(int64(spec.RootIno) + 1)
 	fs.registry[spec.RootIno] = fs.root
@@ -386,10 +337,6 @@ func (fs *FS) Name() string {
 		return "atomfs-biglock"
 	case fs.unsafe:
 		return "atomfs-unsafe"
-	case fs.epochMode && fs.prefix:
-		return "atomfs-epoch-prefix"
-	case fs.epochMode:
-		return "atomfs-epoch"
 	case fs.fastPath && fs.prefix:
 		return "atomfs-fastpath-prefix"
 	case fs.fastPath:
@@ -415,15 +362,6 @@ func (fs *FS) FastPathStats() (hits, fallbacks uint64) {
 // generation moved. All zero unless WithPrefixCache.
 func (fs *FS) PrefixCacheStats() (hits, misses, invalidations uint64) {
 	return fs.prefixHits.Load(), fs.prefixMisses.Load(), fs.prefixInvals.Load()
-}
-
-// EpochStats snapshots the reclamation domain (zero value unless
-// WithEpoch).
-func (fs *FS) EpochStats() epoch.Stats {
-	if fs.edom == nil {
-		return epoch.Stats{}
-	}
-	return fs.edom.Stats()
 }
 
 // FastPathVetoed reports how many read operations skipped the fast path
@@ -657,13 +595,6 @@ func (o *op) mutEnd() {
 		o.fs.seqMu.Unlock()
 		o.fire(HookSeqRelease, "", 0)
 	}
-	if o.fs.epochMode {
-		// The write path is the epoch's only pacemaker: one bounded,
-		// non-blocking advance attempt per mutation, after the seqlock
-		// section so readers entering now already see the new namespace.
-		o.fire(HookEpochAdvance, "", 0)
-		o.fs.edom.TryAdvance()
-	}
 }
 
 // SetHook installs (or, with nil, removes) the instrumentation hook.
@@ -844,27 +775,4 @@ func (o *op) detachEnd(n *node) {
 	if o.fs.prefix {
 		n.gen.Add(1)
 	}
-}
-
-// dirDelete removes name from parent's table inside the operation's
-// committing critical section. Under WithEpoch the detached entry value
-// is retired to the current epoch's limbo at the unlink instant — while
-// the seqlock section is still open, so the entry is retired in an epoch
-// no later than the one its unlink published in — keeping it reachable
-// for every reader pinned before the unlink until two grace periods
-// pass. Without WithEpoch this is a plain Delete (the GC alone keeps
-// readers safe there; the seqlock validation keeps them consistent).
-func (o *op) dirDelete(parent *node, name string) {
-	if !o.fs.epochMode {
-		parent.dir.Delete(name)
-		return
-	}
-	o.fire(HookEpochRetire, "", 0)
-	edom := o.fs.edom
-	parent.dir.DeleteRetire(name, func(child *node) {
-		// The closure pins the detached node (and through it the entry's
-		// subtree pointers) in limbo; the deferred free is the reference
-		// drop itself.
-		edom.Retire(func() { _ = child })
-	})
 }

@@ -239,10 +239,10 @@ func TestBlockLeak(t *testing.T) {
 func TestDeepTraversal(t *testing.T) {
 	fs := New()
 	path := fstest.DeepTree(t, fs, 40)
-	if err := fs.Mknod(tctx, path + "/leaf"); err != nil {
+	if err := fs.Mknod(tctx, path+"/leaf"); err != nil {
 		t.Fatal(err)
 	}
-	info, err := fs.Stat(tctx, path + "/leaf")
+	info, err := fs.Stat(tctx, path+"/leaf")
 	if err != nil || info.Kind != spec.KindFile {
 		t.Fatalf("stat deep leaf: %+v %v", info, err)
 	}

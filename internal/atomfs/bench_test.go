@@ -116,12 +116,12 @@ func BenchmarkUnsafeVsCoupled(b *testing.B) {
 		b.Run(variant.name, func(b *testing.B) {
 			fs := variant.mk()
 			path := fstest.DeepTree(b, fs, 8)
-			if err := fs.Mknod(tctx, path + "/f"); err != nil {
+			if err := fs.Mknod(tctx, path+"/f"); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fs.Stat(tctx, path + "/f")
+				fs.Stat(tctx, path+"/f")
 			}
 		})
 	}
@@ -390,7 +390,9 @@ func BenchmarkWritePath(b *testing.B) {
 // reportPrefixRate attaches the prefix-cache hit rate as a custom metric
 // when the system exposes one.
 func reportPrefixRate(b *testing.B, fs fsapi.FS) {
-	type statter interface{ PrefixCacheStats() (uint64, uint64, uint64) }
+	type statter interface {
+		PrefixCacheStats() (uint64, uint64, uint64)
+	}
 	if s, ok := fs.(statter); ok {
 		hits, misses, _ := s.PrefixCacheStats()
 		if hits+misses > 0 {

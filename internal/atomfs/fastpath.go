@@ -38,7 +38,6 @@ package atomfs
 // holds exactly one inode lock and never seqMu.
 
 import (
-	"repro/internal/epoch"
 	"repro/internal/fserr"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -69,21 +68,16 @@ const (
 	// fallLPValidate: the final validation LP failed — counter moved
 	// while reading the result, or the monitor refused (helplist).
 	fallLPValidate
-	// fallWriterInFlight (WithEpoch only): the single wait-free sequence
-	// load observed an open write section. The epoch path never spins it
-	// out — one odd load and the attempt is over.
-	fallWriterInFlight
 
 	nFallReasons
 )
 
 // fallReasonNames labels the obs per-reason fallback counters.
 var fallReasonNames = [nFallReasons]string{
-	fallSpinBudget:     "spin-budget",
-	fallWalkValidate:   "walk-validate",
-	fallLockValidate:   "lock-validate",
-	fallLPValidate:     "lp-validate",
-	fallWriterInFlight: "writer-inflight",
+	fallSpinBudget:   "spin-budget",
+	fallWalkValidate: "walk-validate",
+	fallLockValidate: "lock-validate",
+	fallLPValidate:   "lp-validate",
 }
 
 // Adaptive fast-path veto (fig10 fix): after fastStreakLimit consecutive
@@ -122,12 +116,7 @@ func (o *op) fastAdmit() bool {
 // stepKeeping: a non-directory on the path reports ErrNotDir before a
 // missing entry reports ErrNotExist.
 func (o *op) fastWalk(parts []string) (n *node, steps int, err error) {
-	return o.fastWalkFrom(o.fs.root, parts)
-}
-
-// fastWalkFrom is fastWalk starting at an arbitrary node — the epoch
-// path's prefix-cache entry walks the remainder from a cached ancestor.
-func (o *op) fastWalkFrom(cur *node, parts []string) (n *node, steps int, err error) {
+	cur := o.fs.root
 	for _, name := range parts {
 		if cur.kind != spec.KindDir {
 			return nil, steps, fserr.ErrNotDir
@@ -161,9 +150,6 @@ func (o *op) lpValidated(seq uint64) bool {
 // mutex-synchronized. ok=false means the caller must fall back to the slow
 // path; ret is only meaningful when ok.
 func (o *op) fastTry(parts []string, result func(n *node) spec.Ret) (ret spec.Ret, ok bool) {
-	if o.fs.epochMode {
-		return o.epochTry(parts, result)
-	}
 	fs := o.fs
 	o.fallReason = fallNone
 	o.fire(HookFastSnap, "", 0)
@@ -221,138 +207,6 @@ func (o *op) fastTry(parts []string, result func(n *node) spec.Ret) (ret spec.Re
 		return spec.Ret{}, false
 	}
 	return ret, true
-}
-
-// epochSkipFinalCheckForTest disables the epoch read's final-instant
-// sequence validation — the deliberate protocol break of the ViolEpoch
-// negative control. The monitor must then catch the divergence by
-// abstract replay; never set outside tests.
-var epochSkipFinalCheckForTest = false
-
-// epochTry is fastTry under WithEpoch — the wait-free variant:
-//
-//  1. pin the reclamation epoch (one load + one store into the reader's
-//     own padded record; internal/epoch explains why no CAS or
-//     revalidation is needed). The pin contributes MEMORY SAFETY only —
-//     nothing the walk touches can be reclaimed while pinned — never
-//     consistency;
-//  2. take ONE sequence-counter load. Odd means a writer is in flight:
-//     fall back immediately (fallWriterInFlight) instead of spinning it
-//     out — the attempt's cost is bounded by the load, which is what
-//     collapses fastpath_seq_spins to structurally zero;
-//  3. walk lock-free, optionally entering at the deepest prefix-cache
-//     ancestor validated by generation stamps alone (no lock on the way
-//     down; a stale entry either fails its lock-free gen check here or
-//     is subsumed by the final validation);
-//  4. lock ONLY the terminal inode and re-validate — Write/Truncate
-//     mutate file content under the inode lock without bumping the
-//     namespace counter, so the terminal lock is still what rules out
-//     torn data;
-//  5. read the result under that lock and linearize at one final-instant
-//     validation — under the monitor this is Session.ReadEpochEntry,
-//     which replays the observed path against the abstract tree and
-//     raises ViolEpoch if a passing validation ever disagrees with it.
-//
-// The seqlock thus survives only as steps 2/4/5's single-load checks at
-// the linearization point; the per-node retry loops are gone.
-func (o *op) epochTry(parts []string, result func(n *node) spec.Ret) (ret spec.Ret, ok bool) {
-	fs := o.fs
-	o.fallReason = fallNone
-	o.spins = 0
-	rec := fs.erecs.Get().(*epoch.Record)
-	o.fire(HookEpochPin, "", 0)
-	rec.Pin(fs.edom)
-	defer func() {
-		rec.Unpin()
-		o.fire(HookEpochUnpin, "", 0)
-		fs.erecs.Put(rec)
-	}()
-	o.fire(HookFastSnap, "", 0)
-	seq, even := fs.mseq.Current()
-	if !even {
-		o.fallReason = fallWriterInFlight
-		return spec.Ret{}, false
-	}
-	o.fire(HookFastWalk, "", 0)
-	n, steps, err := o.epochWalk(parts)
-	if p := fs.obs; p != nil && o.traced && steps > 0 {
-		p.rcuWalkSteps.Add(uint64(steps))
-	}
-	if err != nil {
-		// No lock held: the error linearizes at the validation alone
-		// (LPValidated — there is no terminal node to replay a kind for).
-		o.fire(HookFastLP, "", 0)
-		if o.lpValidated(seq) {
-			return spec.ErrRet(err), true
-		}
-		o.fallReason = fallWalkValidate
-		return spec.Ret{}, false
-	}
-	o.fire(HookFastLock, "", n.ino)
-	n.lk.Lock(o.tid)
-	if !fs.mseq.Validate(seq) {
-		n.lk.Unlock(o.tid)
-		o.fire(HookFastUnlock, "", n.ino)
-		o.fallReason = fallLockValidate
-		return spec.Ret{}, false
-	}
-	ret = result(n)
-	kind := n.kind
-	o.fire(HookFastLP, "", 0)
-	ok = o.lpEpoch(parts, kind, seq)
-	n.lk.Unlock(o.tid)
-	o.fire(HookFastUnlock, "", n.ino)
-	if !ok {
-		o.fallReason = fallLPValidate
-		return spec.Ret{}, false
-	}
-	return ret, true
-}
-
-// epochWalk resolves parts lock-free under the caller's epoch pin,
-// entering at the deepest prefix-cache ancestor when one validates.
-// Unlike the write path's traversePrefix, the entry takes NO lock and
-// tells the monitor nothing: consistency is wholly discharged by the
-// final-instant validation (a chain detached before the sequence
-// snapshot fails its generation check here; one detached after it fails
-// the snapshot validation at the LP).
-func (o *op) epochWalk(parts []string) (n *node, steps int, err error) {
-	fs := o.fs
-	cur := fs.root
-	rest := parts
-	if fs.prefix && len(parts) > 0 {
-		o.fire(HookPrefixLookup, "", 0)
-		if ent := fs.prefixLookup(parts); ent != nil {
-			k := len(ent.names)
-			cur = ent.nodes[k]
-			rest = parts[k:]
-			fs.prefixHits.Add(1)
-			if p := fs.obs; p != nil {
-				p.prefixHit(o, cur.ino, k)
-			}
-		} else {
-			fs.prefixMisses.Add(1)
-		}
-	}
-	return o.fastWalkFrom(cur, rest)
-}
-
-// lpEpoch linearizes the epoch read at its final-instant validation.
-// Unmonitored, the validation is the LP; monitored, ReadEpochEntry
-// re-evaluates it inside the monitor's atomic block and checks the
-// observed path (with its terminal kind) against the abstract tree.
-func (o *op) lpEpoch(parts []string, kind spec.Kind, seq uint64) bool {
-	fs := o.fs
-	validate := func() bool {
-		if epochSkipFinalCheckForTest {
-			return true
-		}
-		return fs.mseq.Validate(seq)
-	}
-	if o.s == nil {
-		return validate()
-	}
-	return o.s.ReadEpochEntry(parts, kind, validate)
 }
 
 // fastStat is Stat's fast path.

@@ -377,3 +377,57 @@ func TestFastPathCountersConverge(t *testing.T) {
 		t.Fatalf("hits %d + fallbacks %d != attempts %d", hits, falls, ops.Load())
 	}
 }
+
+// TestFastPathAdaptiveVeto (fig10 fix): after fastStreakLimit
+// consecutive fallbacks the next fastVetoWindow reads skip the fast path
+// entirely — no attempt, no hit, no fallback — then probing resumes.
+func TestFastPathAdaptiveVeto(t *testing.T) {
+	t.Run("seqlock", func(t *testing.T) {
+		fs := New(WithFastPath())
+		if err := fs.Mkdir(tctx, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		// Hold the write section open: every attempt falls back on
+		// its spin budget until the streak trips the veto.
+		fs.seqMu.Lock()
+		fs.mseq.Begin()
+		for i := 0; i < fastStreakLimit; i++ {
+			if _, err := fs.Stat(tctx, "/a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, falls := fs.FastPathStats()
+		if falls != fastStreakLimit {
+			t.Fatalf("fallbacks = %d, want %d", falls, fastStreakLimit)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := fs.Stat(tctx, "/a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, falls := fs.FastPathStats()
+		if hits != 0 || falls != fastStreakLimit {
+			t.Fatalf("vetoed reads changed stats: hits=%d falls=%d", hits, falls)
+		}
+		if v := fs.FastPathVetoed(); v != 5 {
+			t.Fatalf("vetoed = %d, want 5", v)
+		}
+		fs.mseq.End()
+		fs.seqMu.Unlock()
+		// Burn the rest of the window, then the fast path re-engages.
+		for i := 0; i < fastVetoWindow-5; i++ {
+			if _, err := fs.Stat(tctx, "/a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v := fs.FastPathVetoed(); v != fastVetoWindow {
+			t.Fatalf("vetoed = %d, want %d", v, fastVetoWindow)
+		}
+		if _, err := fs.Stat(tctx, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		if hits, _ := fs.FastPathStats(); hits != 1 {
+			t.Fatalf("post-window hits = %d, want 1", hits)
+		}
+	})
+}

@@ -113,32 +113,6 @@ func newObsPack(fs *FS, reg *obs.Registry, sampleEvery uint64) *obsPack {
 	reg.GaugeFunc("atomfs_fastpath_vetoed_total", func() int64 {
 		return int64(fs.fastVetoed.Load())
 	})
-	if fs.epochMode {
-		// Reclamation-domain totals read straight from the domain's own
-		// counters at render time, like the fast-path pair above.
-		d := fs.edom
-		reg.GaugeFunc("atomfs_epoch_current", func() int64 {
-			return int64(d.Stats().Epoch)
-		})
-		reg.GaugeFunc("atomfs_epoch_pins_total", func() int64 {
-			return int64(d.Stats().Pins)
-		})
-		reg.GaugeFunc("atomfs_epoch_retired_total", func() int64 {
-			return int64(d.Stats().Retired)
-		})
-		reg.GaugeFunc("atomfs_epoch_freed_total", func() int64 {
-			return int64(d.Stats().Freed)
-		})
-		reg.GaugeFunc("atomfs_epoch_advances_total", func() int64 {
-			return int64(d.Stats().Advances)
-		})
-		reg.GaugeFunc("atomfs_epoch_stalls_total", func() int64 {
-			return int64(d.Stats().Stalls)
-		})
-		reg.GaugeFunc("atomfs_epoch_limbo", func() int64 {
-			return int64(d.Stats().Limbo)
-		})
-	}
 	if fs.prefix {
 		// Prefix-cache totals piggyback on the FS atomics the cache
 		// maintains unconditionally, like the fast-path pair above.

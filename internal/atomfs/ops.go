@@ -138,7 +138,7 @@ func (fs *FS) del(ctx context.Context, opKind spec.Op, kind spec.Kind, path stri
 	}
 	o.mutBegin()
 	o.detachBegin(child) // the removed child's prefixes go stale, not the parent's
-	o.dirDelete(parent, name)
+	parent.dir.Delete(name)
 	child.ref.unlinked.Store(true) // §5.4: open descriptors keep it alive
 	o.lp()                         // ▶ LP: DEL ◀
 	o.detachEnd(child)
@@ -451,10 +451,10 @@ func (fs *FS) Rename(ctx context.Context, src, dst string) error {
 		if dnode != snode {
 			o.detachBegin(dnode)
 		}
-		o.dirDelete(ddir, dn)
+		ddir.dir.Delete(dn)
 		dnode.ref.unlinked.Store(true) // §5.4: open descriptors keep it alive
 	}
-	o.dirDelete(sdir, sn)
+	sdir.dir.Delete(sn)
 	ddir.dir.Insert(dn, snode)
 	o.renameLP() // ▶ LP: linothers(t); RENAME ◀
 	if dnode != nil && dnode != snode {

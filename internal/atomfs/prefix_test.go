@@ -77,12 +77,12 @@ func TestPrefixMonitoredStress(t *testing.T) {
 			for _, v := range viols {
 				switch v.Kind {
 				case core.ViolRefinement, core.ViolRelation, core.ViolGoodAFS,
-					core.ViolShortcut, core.ViolEpoch:
+					core.ViolShortcut:
 					// Figure-1 class: a fixed-LP misorder and the abstract
-					// drift that follows from it. Shortcut and epoch entries
-					// replay their observed path against the abstract tree,
-					// so once the drift exists those comparisons legitimately
-					// diverge too — same root cause, different detector.
+					// drift that follows from it. Shortcut entries replay
+					// their observed path against the abstract tree, so once
+					// the drift exists that comparison legitimately diverges
+					// too — same root cause, different detector.
 				default:
 					t.Fatalf("mode %v: discipline violation: %v", mode, v)
 				}

@@ -167,31 +167,16 @@ func (fd *RefFD) Readdir(ctx context.Context) ([]string, error) {
 // tree (it remains usable through the descriptor until Close).
 func (fd *RefFD) Unlinked() bool { return fd.n.ref.unlinked.Load() }
 
-// maybeFree reclaims a node's storage once it is unlinked and unpinned.
-// Pins only happen on reachable nodes and unlink happens under the
-// node's lock, so refs cannot rise after unlinked is set; the CAS makes
-// reclamation idempotent under concurrent Close calls.
+// maybeFree reclaims a node's storage once it is unlinked and unpinned:
+// its data blocks go back to the ramdisk allocator and the inode leaves
+// the registry. Pins only happen on reachable nodes and unlink happens
+// under the node's lock, so refs cannot rise after unlinked is set; the
+// CAS makes reclamation idempotent under concurrent Close calls.
 func (fs *FS) maybeFree(n *node) {
-	if n.ref.unlinked.Load() && n.ref.refs.Load() == 0 &&
-		n.ref.freed.CompareAndSwap(false, true) {
-		if fs.epochMode {
-			// Epoch readers hold no locks and never validate mid-walk, so
-			// an unlinked node's blocks may still be read by a reader
-			// pinned before the unlink. Retire the reclaim instead of
-			// running it: it executes only after two grace periods, when
-			// no such reader can survive (internal/epoch).
-			fs.edom.Retire(func() { fs.reclaim(n) })
-			return
-		}
-		fs.reclaim(n)
+	if !n.ref.unlinked.Load() || n.ref.refs.Load() != 0 ||
+		!n.ref.freed.CompareAndSwap(false, true) {
+		return
 	}
-}
-
-// reclaim releases n's manually managed resources: its data blocks go
-// back to the ramdisk allocator and the inode leaves the registry. Runs
-// at most once per node (maybeFree's CAS), either inline or — under
-// WithEpoch — as a limbo-deferred free.
-func (fs *FS) reclaim(n *node) {
 	if n.data != nil {
 		n.data.Release(uint64(n.ino))
 	}

@@ -44,7 +44,7 @@ func TestRefFDReadAfterUnlink(t *testing.T) {
 	if _, err := fd.WriteAt(tctx, []byte("!"), int64(n)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := fd.Stat(tctx, )
+	info, err := fd.Stat(tctx)
 	if err != nil || info.Size != 11 {
 		t.Fatalf("stat = %+v %v", info, err)
 	}
@@ -111,7 +111,7 @@ func TestRefFDDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fd.Close()
-	names, err := fd.Readdir(tctx, )
+	names, err := fd.Readdir(tctx)
 	if err != nil || len(names) != 1 || names[0] != "x" {
 		t.Fatalf("readdir = %v %v", names, err)
 	}
@@ -121,7 +121,7 @@ func TestRefFDDirectory(t *testing.T) {
 	if err := fd.Truncate(tctx, 0); !errors.Is(err, fserr.ErrIsDir) {
 		t.Fatalf("truncate on dir fd = %v", err)
 	}
-	info, err := fd.Stat(tctx, )
+	info, err := fd.Stat(tctx)
 	if err != nil || info.Kind != spec.KindDir || info.Size != 1 {
 		t.Fatalf("stat = %+v %v", info, err)
 	}
@@ -257,7 +257,7 @@ func TestHandleRead(t *testing.T) {
 	if _, err := hd.Read(tctx, 0, 1); !errors.Is(err, fserr.ErrIsDir) {
 		t.Fatalf("dir read = %v", err)
 	}
-	if _, err := h.Readdir(tctx, ); !errors.Is(err, fserr.ErrNotDir) {
+	if _, err := h.Readdir(tctx); !errors.Is(err, fserr.ErrNotDir) {
 		t.Fatalf("file readdir = %v", err)
 	}
 	if _, err := fs.OpenDirect(tctx, "/missing"); !errors.Is(err, fserr.ErrNotExist) {

@@ -25,8 +25,8 @@
 // CrossAbort with its error instead.
 //
 // Complete finishes the source: on commit it performs the concrete
-// removal (generation bumps for every detached node, epoch retire of the
-// top edge, block reclamation for the whole subtree) and Ends with
+// removal (generation bumps for every detached node, the top edge's
+// delete, block reclamation for the whole subtree) and Ends with
 // success; on abort it just unlocks and Ends with the destination's
 // error — the source volume is bit-for-bit unchanged.
 package atomfs
@@ -77,7 +77,7 @@ type Detach struct {
 	payload *spec.SubTree
 	spine   []*node // root..parent (monitor-recorded locks)
 	parent  *node
-	victim  *node // monitor-recorded lock
+	victim  *node   // monitor-recorded lock
 	subtree []*node // strict descendants of victim, raw-locked, DFS order
 	name    string
 }
@@ -246,7 +246,7 @@ func (d *Detach) Complete(commitErr error) error {
 	for _, n := range d.subtree {
 		o.detachBegin(n)
 	}
-	o.dirDelete(d.parent, d.name)
+	d.parent.dir.Delete(d.name)
 	d.victim.ref.unlinked.Store(true)
 	for _, n := range d.subtree {
 		n.ref.unlinked.Store(true)
@@ -362,7 +362,7 @@ func (fs *FS) AttachCommit(ctx context.Context, path string, rec *core.CrossReco
 	o.mutBegin()
 	if victim != nil {
 		o.detachBegin(victim)
-		o.dirDelete(parent, name)
+		parent.dir.Delete(name)
 		victim.ref.unlinked.Store(true)
 	}
 	parent.dir.Insert(name, top)

@@ -189,7 +189,7 @@ func Cases() []Case {
 		return want(fs.Mkdir(ctx, "/"+strings.Repeat("x", 256)), fserr.ErrNameTooLong)
 	})
 	add("create", "name-max-ok", func(ctx context.Context, fs fsapi.FS) error {
-		return ok(fs.Mkdir(ctx, "/" + strings.Repeat("x", 255)))
+		return ok(fs.Mkdir(ctx, "/"+strings.Repeat("x", 255)))
 	})
 	add("create", "name-with-spaces", func(ctx context.Context, fs fsapi.FS) error {
 		return first(ok(fs.Mkdir(ctx, "/a dir")), ok(fs.Mknod(ctx, "/a dir/a file")))
@@ -459,7 +459,7 @@ func Cases() []Case {
 	add("readdir", "sorted-order", func(ctx context.Context, fs fsapi.FS) error {
 		fs.Mkdir(ctx, "/d")
 		for _, n := range []string{"zz", "mm", "aa", "k"} {
-			fs.Mknod(ctx, "/d/" + n)
+			fs.Mknod(ctx, "/d/"+n)
 		}
 		names, err := fs.Readdir(ctx, "/d")
 		if err != nil || !sort.StringsAreSorted(names) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/atomfs"
 	"repro/internal/core"
-	"repro/internal/dcache"
 	"repro/internal/fsapi"
 	"repro/internal/memfs"
 	"repro/internal/retryfs"
@@ -22,7 +21,6 @@ func TestAllVariantsConform(t *testing.T) {
 		"memfs":           func() fsapi.FS { return memfs.New() },
 		"retryfs":         func() fsapi.FS { return retryfs.New() },
 		"slowfs":          func() fsapi.FS { return slowfs.NewWithCost(memfs.New(), 10, 1) },
-		"dcache":          func() fsapi.FS { return dcache.New(atomfs.New()) },
 	}
 	for name, mk := range variants {
 		name, mk := name, mk

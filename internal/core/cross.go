@@ -25,8 +25,8 @@ import (
 // rename's linothers. Between that external LP and the source's End the
 // source descriptor sits in the source Helplist exactly like a
 // rename-helped thread: abstractly detached, concretely still present,
-// with every fast path (LPValidated, ShortcutEntry, ReadEpochEntry)
-// refusing until the concrete removal lands.
+// with every fast path (LPValidated, ShortcutEntry) refusing until the
+// concrete removal lands.
 //
 // CrossAbort is the rollback arm: the destination failed (victim type
 // conflict, no space), so the source's OpDetach linearizes as a failure

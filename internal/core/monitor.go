@@ -132,8 +132,6 @@ type monObs struct {
 	relChecks     *obs.Counter
 	fastLPs       *obs.Counter
 	fastLPFalls   *obs.Counter
-	epochLPs      *obs.Counter
-	epochLPFalls  *obs.Counter
 	shortcuts     *obs.Counter
 	shortcutFalls *obs.Counter
 	aborted       *obs.Counter
@@ -158,8 +156,6 @@ func newMonObs(reg *obs.Registry) *monObs {
 		relChecks:     reg.Counter("core_relation_checks_total"),
 		fastLPs:       reg.Counter("core_fastpath_lp_total"),
 		fastLPFalls:   reg.Counter("core_fastpath_lp_fallback_total"),
-		epochLPs:      reg.Counter("core_epoch_lp_total"),
-		epochLPFalls:  reg.Counter("core_epoch_lp_fallback_total"),
 		shortcuts:     reg.Counter("core_shortcut_entries_total"),
 		shortcutFalls: reg.Counter("core_shortcut_fallback_total"),
 		aborted:       reg.Counter("core_aborted_total"),
@@ -633,89 +629,6 @@ func (s *Session) ShortcutEntry(names []string, inos []spec.Inum, validate func(
 	return true
 }
 
-// ReadEpochEntry is the linearization point of an epoch-protected read
-// (DESIGN.md §12): the operation walked the tree lock-free under an
-// epoch pin — no per-node seqlock validation, no coupling — took its
-// result at the terminal inode under that inode's lock, and now claims
-// the whole snapshot was consistent because the namespace sequence
-// counter is unchanged since the single load taken at pin time. validate
-// is evaluated inside the monitor's atomic block, exactly like
-// LPValidated; the epoch pin contributes memory safety (the walked nodes
-// were not reclaimed), NOT consistency, which is why the final-instant
-// check is still mandatory and deliberately skipping it must be caught.
-//
-// The monitor makes the claim checkable the way ShortcutEntry does:
-// replay the observed path by NAME against the abstract tree (abstract
-// and concrete inode numbers come from independent allocators, so
-// identity across the boundary is the path) and require the terminal's
-// kind to match what the reader concretely observed. Divergence after a
-// passing validation indicts the protocol itself — a mutation that
-// failed to bump the sequence counter inside its critical section, or a
-// pin placed after the walk began — and raises ViolEpoch.
-//
-// Like LPValidated and ShortcutEntry, the rule refuses on a non-empty
-// Helplist: a helped operation's abstract effects are not concretely
-// visible yet, and only the slow path's lock coupling is ordered after
-// them. On false nothing is linearized; the caller must discard the
-// fast-path result and retry on the locked slow path.
-func (s *Session) ReadEpochEntry(names []string, kind spec.Kind, validate func() bool) bool {
-	if s == nil {
-		return validate()
-	}
-	m := s.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := s.d
-	if !d.readonly {
-		m.violate(ViolEpoch, d.tid, "%s %s: ReadEpochEntry on a non-read-only session", d.op, d.args)
-	}
-	if !validate() || len(m.helplist) != 0 {
-		m.stats.EpochFallbacks++
-		if m.obs != nil {
-			m.obs.epochLPFalls.Inc(d.tid)
-		}
-		return false
-	}
-	// The sequence counter's claim, made checkable: the observed path must
-	// resolve step by step — by name — in the current abstract state, and
-	// end at a node of the observed kind.
-	cur := m.afs.Root
-	for _, name := range names {
-		n := m.afs.Imap[cur]
-		if n == nil || n.Kind != spec.KindDir {
-			m.violate(ViolEpoch, d.tid, "%s %s: epoch-read ancestor inode %d is not a live directory",
-				d.op, d.args, cur)
-			return false
-		}
-		child, ok := n.Links[name]
-		if !ok {
-			m.violate(ViolEpoch, d.tid,
-				"%s %s: validated epoch read diverges at %q: entry absent abstractly",
-				d.op, d.args, name)
-			return false
-		}
-		cur = child
-	}
-	if n := m.afs.Imap[cur]; n == nil || n.Kind != kind {
-		m.violate(ViolEpoch, d.tid,
-			"%s %s: epoch-read terminal inode %d is not live with kind %v abstractly",
-			d.op, d.args, cur, kind)
-		return false
-	}
-	if d.aborted {
-		m.violate(ViolCancellation, d.tid,
-			"aborted %s %s linearized at an epoch read", d.op, d.args)
-	}
-	if d.state != AopDone {
-		m.linearize(d, d.tid)
-		m.stats.EpochReads++
-		if m.obs != nil {
-			m.obs.epochLPs.Inc(d.tid)
-		}
-	}
-	return true
-}
-
 // RenameLP is rename's linearization point. In ModeHelpers it runs
 // linothers (Figure 5) first — finding every thread with a (recursive) path
 // inter-dependency on this rename, ordering them by the linearize-before
@@ -1038,12 +951,6 @@ type Stats struct {
 	// generations or a non-empty Helplist — that re-walked from the root.
 	ShortcutEntries   int
 	ShortcutFallbacks int
-	// EpochReads counts read-only operations linearized at an epoch-
-	// protected read's final-instant validation (ReadEpochEntry);
-	// EpochFallbacks counts refusals — a failed validation or a non-empty
-	// Helplist — that sent the operation to the locked slow path.
-	EpochReads     int
-	EpochFallbacks int
 	// Aborted counts operations cancelled pre-LP via TryAbort: no Aop ran,
 	// the caller saw a context error. (TryAbort refusals — cancellations
 	// that arrived after the LP — are not aborts; those ops complete and

@@ -54,13 +54,6 @@ const (
 	// malformed. The generation protocol, not just one operation, is what
 	// such a violation indicts.
 	ViolShortcut
-	// ViolEpoch: an epoch-protected read's entry claim broke — the final-
-	// instant sequence validation passed yet the observed path fails to
-	// resolve (with the observed terminal kind) in the abstract state, or
-	// the rule was invoked on a non-read-only session. Like ViolShortcut,
-	// this indicts the protocol (the seqlock bump discipline or the epoch
-	// pin placement), not just the one operation.
-	ViolEpoch
 	// ViolCross: the two-phase cross-volume protocol was misused — a
 	// prepare on a read-only session, after the LP, or on a record not
 	// idle; a commit or abort on a record not prepared; a source that
@@ -83,7 +76,6 @@ var violationNames = map[ViolationKind]string{
 	ViolCancellation:   "cancellation-consistency",
 	ViolProtocol:       "protocol",
 	ViolShortcut:       "shortcut-entry",
-	ViolEpoch:          "epoch-entry",
 	ViolCross:          "cross-volume",
 }
 

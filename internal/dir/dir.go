@@ -157,22 +157,6 @@ func (t *Table[V]) Delete(name string) (V, bool) {
 	return zero, false
 }
 
-// DeleteRetire unlinks name like Delete but, on success, hands the
-// detached value to retire at the unlink instant — before the caller's
-// critical section ends. Epoch-based callers (internal/epoch) use this
-// to push the entry onto the current epoch's limbo list while the
-// namespace mutation is still serialized, so an entry is always retired
-// in an epoch no later than the one its unlink was published in; the
-// Go GC keeps the bytes alive, but any manually managed resource hanging
-// off the value (file data blocks) must wait for the grace periods.
-func (t *Table[V]) DeleteRetire(name string, retire func(val V)) (V, bool) {
-	v, ok := t.Delete(name)
-	if ok && retire != nil {
-		retire(v)
-	}
-	return v, ok
-}
-
 // Len returns the number of entries. Callers must hold the owning inode's
 // lock (or guarantee quiescence).
 func (t *Table[V]) Len() int { return t.n }

@@ -196,23 +196,3 @@ func TestLockFreeReaders(t *testing.T) {
 	close(stop)
 	rg.Wait()
 }
-
-func TestDeleteRetire(t *testing.T) {
-	d := New[int]()
-	d.Insert("a", 7)
-	var retired []int
-	v, ok := d.DeleteRetire("a", func(val int) { retired = append(retired, val) })
-	if !ok || v != 7 {
-		t.Fatalf("DeleteRetire = %d %v, want 7 true", v, ok)
-	}
-	if len(retired) != 1 || retired[0] != 7 {
-		t.Fatalf("retire callback got %v, want [7]", retired)
-	}
-	if _, ok := d.DeleteRetire("a", func(int) { t.Fatal("retire on miss") }); ok {
-		t.Fatal("DeleteRetire of absent name succeeded")
-	}
-	d.Insert("b", 9)
-	if v, ok := d.DeleteRetire("b", nil); !ok || v != 9 {
-		t.Fatalf("DeleteRetire with nil retire = %d %v, want 9 true", v, ok)
-	}
-}

@@ -207,7 +207,7 @@ func TestMonitoredServer(t *testing.T) {
 				client.Mknod(tctx, p)
 				client.Write(tctx, p, 0, []byte("x"))
 				client.Rename(tctx, p, p+"-final")
-				client.Unlink(tctx, p + "-final")
+				client.Unlink(tctx, p+"-final")
 			}
 		}(w)
 	}

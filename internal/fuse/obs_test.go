@@ -171,10 +171,10 @@ func TestServerGaugesSettle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				client.Stat(tctx, "/f")       //nolint:errcheck
+				client.Stat(tctx, "/f")                 //nolint:errcheck
 				fsapi.ReadAll(tctx, client, "/f", 0, 1) //nolint:errcheck
-				client.Readdir(tctx, "/")     //nolint:errcheck
-				client.Stat(tctx, "/missing") //nolint:errcheck // error replies count too
+				client.Readdir(tctx, "/")               //nolint:errcheck
+				client.Stat(tctx, "/missing")           //nolint:errcheck // error replies count too
 			}
 		}()
 	}

@@ -146,16 +146,6 @@ func (s *SeqCount) ReadBounded(budget int) (v uint64, spins int, ok bool) {
 	}
 }
 
-// Current returns the sequence value from a single load, with no spin:
-// ok is false when a write section is open (odd count). Epoch-protected
-// readers use this instead of Read/ReadBounded — they never wait for a
-// writer, they either get an even snapshot in one load or fall back
-// immediately, which is what makes their entry wait-free.
-func (s *SeqCount) Current() (v uint64, ok bool) {
-	v = s.seq.Load()
-	return v, v%2 == 0
-}
-
 // Validate reports whether no write section began since the Read that
 // returned v.
 func (s *SeqCount) Validate(v uint64) bool { return s.seq.Load() == v }

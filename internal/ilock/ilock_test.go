@@ -172,20 +172,3 @@ func TestSeqCountConcurrent(t *testing.T) {
 	close(stop)
 	<-writerDone
 }
-
-func TestSeqCountCurrent(t *testing.T) {
-	var s SeqCount
-	v, ok := s.Current()
-	if !ok || v != 0 {
-		t.Fatalf("Current on idle count = %d %v, want 0 true", v, ok)
-	}
-	s.Begin()
-	if _, ok := s.Current(); ok {
-		t.Fatal("Current reported stable during a write section")
-	}
-	s.End()
-	v, ok = s.Current()
-	if !ok || !s.Validate(v) {
-		t.Fatalf("Current after write = %d %v, should validate", v, ok)
-	}
-}

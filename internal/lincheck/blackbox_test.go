@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/atomfs"
-	"repro/internal/dcache"
 	"repro/internal/fsapi"
 	"repro/internal/fstest"
 	"repro/internal/history"
@@ -49,7 +48,7 @@ func blackBoxRound(t *testing.T, fs fsapi.FS, seed int64) {
 }
 
 // TestBlackBoxLinearizability checks every implementation — including the
-// ones the CRL-H monitor cannot instrument (retryfs, dcache, memfs) — as
+// ones the CRL-H monitor cannot instrument (retryfs, memfs) — as
 // a black box: record concurrent histories, search for a witness.
 func TestBlackBoxLinearizability(t *testing.T) {
 	variants := []struct {
@@ -60,7 +59,6 @@ func TestBlackBoxLinearizability(t *testing.T) {
 		{"atomfs-biglock", func() fsapi.FS { return atomfs.New(atomfs.WithBigLock()) }},
 		{"retryfs", func() fsapi.FS { return retryfs.New() }},
 		{"memfs", func() fsapi.FS { return memfs.New() }},
-		{"dcache(atomfs)", func() fsapi.FS { return dcache.New(atomfs.New()) }},
 	}
 	for _, v := range variants {
 		v := v

@@ -1,8 +1,8 @@
 // Package mount stitches several independent file-system volumes into one
 // namespace behind a longest-prefix mount table (DESIGN.md §13). Each
 // volume is a complete fsapi.FS — for atomfs volumes, an independent
-// instance with its own monitor, prefix-cache generation space and epoch
-// domain — and every namespace operation resolves its path to a
+// instance with its own monitor and prefix-cache generation space — and
+// every namespace operation resolves its path to a
 // (volume, residual path) pair before delegating.
 //
 // The table is immutable once serving: Mount is a setup-time call, and the

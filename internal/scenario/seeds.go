@@ -49,14 +49,12 @@ func FuzzSeeds() [][][]trace.Entry {
 			{e(spec.OpRename, "/c", "/d"), e(spec.OpRename, "/d", "/c")},
 			{e(spec.OpStat, "/c/f0")},
 		},
-		// Reader-vs-retire duel (run with epoch on): thread 0's lockless
-		// reads walk /a/b while thread 1 unlinks and recreates their
-		// victim (retiring the old node into epoch limbo) and thread 2
-		// renames the whole directory away and back (retiring detached
-		// table entries). A reader pinned before a retire must keep its
-		// node alive until two grace periods pass; the monitor's
-		// ReadEpochEntry replay catches any read that validates against a
-		// world the abstract state no longer agrees with.
+		// Reader-vs-unlink duel: thread 0's lockless reads walk /a/b
+		// while thread 1 unlinks and recreates their victim and thread 2
+		// renames the whole directory away and back. Every mutation bumps
+		// the sequence counter inside its critical section, so a fast-path
+		// read overlapping one must fail validation and take the slow path;
+		// the GC keeps the detached nodes it may still be walking alive.
 		{
 			{e(spec.OpStat, "/a/b/f0"), e(spec.OpReaddir, "/a/b")},
 			{e(spec.OpUnlink, "/a/b/f0"), e(spec.OpMknod, "/a/b/f0")},

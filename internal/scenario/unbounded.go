@@ -54,7 +54,7 @@ func Unbounded(k int) *Report {
 		wg.Add(1)
 		go func(i int, target string) {
 			defer wg.Done()
-			errs[i] = e.fs.Mknod(e.ctx, target + "/file")
+			errs[i] = e.fs.Mknod(e.ctx, target+"/file")
 		}(i, p)
 		if err := gate(parked).waitTimeout(); err != nil {
 			r.Err = fmt.Errorf("worker %d never parked: %w", i, err)

@@ -80,10 +80,6 @@ func ExecuteCross(seed Seed, opts Options) *RunResult {
 		if seed.Prefix {
 			fsOpts = append(fsOpts, atomfs.WithPrefixCache())
 		}
-		if seed.Epoch {
-			h.epoch = true
-			fsOpts = append(fsOpts, atomfs.WithEpoch())
-		}
 		if opts.Unsafe {
 			fsOpts = append(fsOpts, atomfs.WithUnsafeTraversal())
 		}
@@ -210,8 +206,8 @@ func checkCrossHistory(events []history.Event) error {
 // RandomCrossSeed generates a cross-mode seed: thread 0 draws from the
 // cross-rename mix (the only thread allowed to), the others from a
 // same-volume mix split across both sides of the mount.
-func RandomCrossSeed(r *rand.Rand, threads, opsPer int, fastPath, prefix, epoch bool, faultProb float64) Seed {
-	s := Seed{FastPath: fastPath, Prefix: prefix, Epoch: epoch}
+func RandomCrossSeed(r *rand.Rand, threads, opsPer int, fastPath, prefix bool, faultProb float64) Seed {
+	s := Seed{FastPath: fastPath, Prefix: prefix}
 	for t := 0; t < threads; t++ {
 		var prog []trace.Entry
 		for i := 0; i < opsPer; i++ {

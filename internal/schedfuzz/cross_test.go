@@ -125,7 +125,7 @@ func TestCrossRandomSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 24; i++ {
 		v := fsVariants[i%len(fsVariants)]
-		s := RandomCrossSeed(r, 3, 3, v.fast, v.prefix, i%8 >= 4, 0.2)
+		s := RandomCrossSeed(r, 3, 3, v.fast, v.prefix, 0.2)
 		res := ExecuteCross(s, Options{Mode: core.ModeHelpers, RNG: int64(i), StallTimeout: testStall})
 		if res.HarnessErr != nil {
 			t.Fatalf("sweep %d %+v: harness: %v\nseed: %s", i, v, res.HarnessErr, DescribeSeed(s))

@@ -13,16 +13,15 @@ import (
 type FuzzConfig struct {
 	Budget       time.Duration
 	Seed         int64
-	Threads      int    // workers per generated seed (default 3)
-	OpsPerThread int    // ops per worker (default 4)
+	Threads      int // workers per generated seed (default 3)
+	OpsPerThread int // ops per worker (default 4)
 	Mode         core.Mode
 	Unsafe       bool
-	FastPath     string  // "auto" (default: mutate it), "on", "off"
-	Prefix       string  // write-path prefix cache: "auto" (default), "on", "off"
-	Epoch        string  // epoch-based reclamation: "auto" (default), "on", "off"
-	FaultProb    float64 // per-thread fault probability in generated seeds (default 0.3)
-	MaxRuns      int     // 0 = budget-bound only
-	ShrinkRuns   int     // shrink execution cap (default 400)
+	FastPath     string                           // "auto" (default: mutate it), "on", "off"
+	Prefix       string                           // write-path prefix cache: "auto" (default), "on", "off"
+	FaultProb    float64                          // per-thread fault probability in generated seeds (default 0.3)
+	MaxRuns      int                              // 0 = budget-bound only
+	ShrinkRuns   int                              // shrink execution cap (default 400)
 	Logf         func(format string, args ...any) // nil = silent
 }
 
@@ -102,16 +101,6 @@ func Fuzz(cfg FuzzConfig) *Report {
 		}
 		return r.Intn(2) == 0
 	}
-	flipEpoch := cfg.Epoch != "on" && cfg.Epoch != "off"
-	epochFor := func(r *rand.Rand) bool {
-		switch cfg.Epoch {
-		case "on":
-			return true
-		case "off":
-			return false
-		}
-		return r.Intn(2) == 0
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := time.Now()
@@ -121,14 +110,14 @@ func Fuzz(cfg FuzzConfig) *Report {
 
 	var corpus []Seed
 	for _, threads := range scenario.FuzzSeeds() {
-		corpus = append(corpus, Seed{Threads: threads, FastPath: fastFor(rng), Prefix: prefixFor(rng), Epoch: epochFor(rng)})
+		corpus = append(corpus, Seed{Threads: threads, FastPath: fastFor(rng), Prefix: prefixFor(rng)})
 	}
 	scenarioSeeds := len(corpus)
 	for i := 0; i < 4; i++ {
-		corpus = append(corpus, RandomSeed(rng, cfg.Threads, cfg.OpsPerThread, fastFor(rng), prefixFor(rng), epochFor(rng), cfg.FaultProb))
+		corpus = append(corpus, RandomSeed(rng, cfg.Threads, cfg.OpsPerThread, fastFor(rng), prefixFor(rng), cfg.FaultProb))
 	}
-	logf("schedfuzz: corpus %d seeds (%d scenario-derived), budget %v, mode %s, fastpath %s, prefix %s, epoch %s",
-		len(corpus), scenarioSeeds, cfg.Budget, modeName(cfg.Mode), cfg.FastPath, cfg.Prefix, cfg.Epoch)
+	logf("schedfuzz: corpus %d seeds (%d scenario-derived), budget %v, mode %s, fastpath %s, prefix %s",
+		len(corpus), scenarioSeeds, cfg.Budget, modeName(cfg.Mode), cfg.FastPath, cfg.Prefix)
 
 	queue := append([]Seed(nil), corpus...)
 	for time.Now().Before(deadline) && (cfg.MaxRuns == 0 || rep.Runs < cfg.MaxRuns) {
@@ -136,11 +125,11 @@ func Fuzz(cfg FuzzConfig) *Report {
 		if len(queue) > 0 {
 			s, queue = queue[0], queue[1:]
 		} else {
-			s = Mutate(corpus[rng.Intn(len(corpus))].Clone(), rng, flipFast, flipPrefix, flipEpoch)
+			s = Mutate(corpus[rng.Intn(len(corpus))].Clone(), rng, flipFast, flipPrefix)
 			// Occasionally inject a completely fresh seed to escape corpus
 			// local optima.
 			if rng.Intn(16) == 0 {
-				s = RandomSeed(rng, cfg.Threads, cfg.OpsPerThread, fastFor(rng), prefixFor(rng), epochFor(rng), cfg.FaultProb)
+				s = RandomSeed(rng, cfg.Threads, cfg.OpsPerThread, fastFor(rng), prefixFor(rng), cfg.FaultProb)
 			}
 		}
 		runRNG := cfg.Seed + int64(rep.Runs)*1000003

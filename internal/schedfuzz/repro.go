@@ -120,7 +120,6 @@ func WriteRepro(w io.Writer, r *Repro) error {
 	fmt.Fprintf(bw, "mode %s\n", modeName(r.Mode))
 	fmt.Fprintf(bw, "fastpath %s\n", onoff(r.Seed.FastPath))
 	fmt.Fprintf(bw, "prefix %s\n", onoff(r.Seed.Prefix))
-	fmt.Fprintf(bw, "epoch %s\n", onoff(r.Seed.Epoch))
 	fmt.Fprintf(bw, "unsafe %s\n", onoff(r.Unsafe))
 	if r.Cross {
 		fmt.Fprintf(bw, "cross on\n")
@@ -187,8 +186,15 @@ func ParseRepro(rd io.Reader) (*Repro, error) {
 			default:
 				return nil, fail("unknown mode %q", rest)
 			}
-		case "fastpath", "prefix", "epoch", "unsafe", "cross", "journal":
-			// Older repros predate the prefix, epoch, cross and journal
+		case "epoch":
+			// Epoch-based reclamation was removed: "epoch off" lines in
+			// older repros are harmless, "epoch on" would replay a mode
+			// that no longer exists.
+			if rest != "off" {
+				return nil, fail("epoch %s: epoch-based reclamation was removed; only \"epoch off\" is accepted", rest)
+			}
+		case "fastpath", "prefix", "unsafe", "cross", "journal":
+			// Older repros predate the prefix, cross and journal
 			// directives; absence means off.
 			on := rest == "on"
 			if !on && rest != "off" {
@@ -199,8 +205,6 @@ func ParseRepro(rd io.Reader) (*Repro, error) {
 				r.Seed.FastPath = on
 			case "prefix":
 				r.Seed.Prefix = on
-			case "epoch":
-				r.Seed.Epoch = on
 			case "cross":
 				r.Cross = on
 			case "journal":

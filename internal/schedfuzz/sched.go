@@ -182,11 +182,6 @@ type harness struct {
 	current  *workerState
 	workers  []*workerState
 	faults   map[faultKey]*Fault
-	// epoch mirrors the seed's Epoch flag: under epoch-based reclamation
-	// a fast-path read that snapshots into an open write section falls
-	// back wait-free instead of spinning, so parkFastSnap arrivals stay
-	// runnable and the writer-inflight fallback is actually explored.
-	epoch    bool
 	draining atomic.Bool
 	drain    sync.Once
 	violated atomic.Bool
@@ -295,11 +290,8 @@ func (h *harness) runWorker(ws *workerState, prog []trace.Entry) {
 }
 
 // blocked predicts whether granting this parked worker would block it
-// inside atomfs (deadlocking the serialized run). Under epoch-based
-// reclamation the fast path reads the seqlock once and falls back on an
-// odd count, so a snapshot into an open write section cannot spin and
-// is granted freely.
-func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int, epoch bool) bool {
+// inside atomfs (deadlocking the serialized run).
+func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int) bool {
 	switch a.kind {
 	case parkLockAttempt:
 		_, held := owner[a.ino]
@@ -309,10 +301,9 @@ func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int, epoch boo
 		return open
 	case parkFastSnap:
 		// ReadRetries spins while the write section is open; granting a
-		// snapshot mid-section would hang the single-runner schedule —
-		// unless epoch mode's single-load Current() check is in force.
+		// snapshot mid-section would hang the single-runner schedule.
 		_, open := seqOwner[a.vol]
-		return open && !epoch
+		return open
 	}
 	return false
 }
@@ -358,7 +349,7 @@ func (h *harness) schedule(d *decider, res *RunResult, stall time.Duration) {
 		if !stopped && len(parked) == alive {
 			var runnable []int
 			for w := range parked {
-				if !blocked(parked[w], owner, seqOwner, h.epoch) {
+				if !blocked(parked[w], owner, seqOwner) {
 					runnable = append(runnable, w)
 				}
 			}
@@ -491,10 +482,6 @@ func Execute(seed Seed, opts Options) *RunResult {
 	}
 	if seed.Prefix {
 		fsOpts = append(fsOpts, atomfs.WithPrefixCache())
-	}
-	if seed.Epoch {
-		h.epoch = true
-		fsOpts = append(fsOpts, atomfs.WithEpoch())
 	}
 	if opts.Unsafe {
 		fsOpts = append(fsOpts, atomfs.WithUnsafeTraversal())

@@ -2,10 +2,12 @@ package schedfuzz
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,7 +165,7 @@ func TestShrinkPreservesSignature(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	checked := 0
 	for i := 0; i < 40 && checked < 5; i++ {
-		cand := Mutate(golden.Seed.Clone(), r, false, false, false)
+		cand := Mutate(golden.Seed.Clone(), r, false, false)
 		opts := golden.Options()
 		opts.RNG = int64(i)
 		opts.StallTimeout = testStall
@@ -347,43 +349,49 @@ func TestGoldenPrefixHelpersOvertake(t *testing.T) {
 	}
 }
 
-// The checked-in reader-vs-retire schedule: thread 0's epoch-pinned
-// lockless reads walk /a/b while thread 1 unlinks and recreates their
-// victim, retiring the detached node into epoch limbo. The run must be
-// clean AND both reads must actually linearize through the epoch LP
-// rule — a regression that silently routed epoch reads down the slow
-// path would also "pass" the cleanliness half, so the stat is asserted.
-func TestGoldenEpochUnlinkRepro(t *testing.T) {
-	r := loadRepro(t, "epoch_unlink.repro")
-	if !r.Seed.Epoch {
-		t.Fatal("golden must run with epoch-based reclamation on")
+// The checked-in reader-vs-unlink schedule: thread 0's lockless reads
+// walk /a/b while thread 1 unlinks and recreates their victim. The run
+// must be clean AND both reads must linearize — on the fast path at a
+// validated snapshot, or through the lock-coupled slow path after a
+// fallback.
+func TestGoldenFastPathUnlinkRepro(t *testing.T) {
+	r := loadRepro(t, "fastpath_unlink.repro")
+	if !r.Seed.FastPath {
+		t.Fatal("golden must run with the fast path on")
 	}
 	res, err := r.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.EpochReads < 2 {
-		t.Fatalf("only %d epoch reads linearized, want both (stats %+v)",
-			res.Stats.EpochReads, res.Stats)
+	// In this schedule both reads reach the monitor's validation LP,
+	// where each either linearizes (FastReads) or is refused and re-runs
+	// on the slow path (FastFallbacks).
+	if got := res.Stats.FastReads + res.Stats.FastFallbacks; got != 2 {
+		t.Fatalf("%d fast-path read outcomes, want both reads (stats %+v)", got, res.Stats)
 	}
 }
 
-// Epoch mode must survive a hostile scripted storm: every scenario seed
-// run with epoch reclamation pinned on, under the helpers monitor, stays
-// clean. This is the satellite smoke for the new pin/unpin/retire/
-// advance yield points — the scheduler must never predict an epoch
-// reader blocked (they are wait-free) and never deadlock on one.
-// (ModeFixedLP is deliberately excluded: it is the paper's buggy-LP
-// demonstration mode and these adversarial shapes rightly convict it.)
-func TestEpochScenarioSeedsClean(t *testing.T) {
-	for i, threads := range scenario.FuzzSeeds() {
-		s := Seed{Threads: threads, FastPath: true, Prefix: true, Epoch: true}
-		for rng := int64(0); rng < 10; rng++ {
-			res := Execute(s, Options{Mode: core.ModeHelpers, RNG: rng})
-			if sig := res.Signature(); sig != "" {
-				t.Fatalf("seed %d rng %d: %s (deadlock: %s)",
-					i, rng, sig, res.DeadlockInfo)
-			}
-		}
+// Repros recorded while epoch-based reclamation existed carry an
+// "epoch" directive: "off" still parses (it changes nothing), "on" is
+// rejected rather than silently replayed as a different mode.
+func TestParseReproLegacyEpoch(t *testing.T) {
+	const body = "mode helpers\nfastpath on\nepoch %s\nrng 1\nthread 0 stat /a\n"
+	r, err := ParseRepro(strings.NewReader(fmt.Sprintf(body, "off")))
+	if err != nil {
+		t.Fatalf("legacy \"epoch off\" rejected: %v", err)
+	}
+	if !r.Seed.FastPath || r.RNG != 1 || r.Seed.Ops() != 1 {
+		t.Fatalf("legacy repro parsed wrong: %+v", r)
+	}
+	_, err = ParseRepro(strings.NewReader(fmt.Sprintf(body, "on")))
+	if err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("\"epoch on\" parsed: err = %v, want a removed-mode error", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteRepro(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "epoch") {
+		t.Fatalf("WriteRepro still emits an epoch line:\n%s", buf.String())
 	}
 }

@@ -60,21 +60,20 @@ type Fault struct {
 
 // Seed is the fuzzer's unit of state: per-thread op programs, injected
 // faults, the scripted schedule prefix, and whether the lockless read
-// fast path, the write-path prefix cache, and epoch-based reclamation
-// are enabled. Mode and the extension RNG live in Options — they are
-// campaign configuration, not mutation targets.
+// fast path and the write-path prefix cache are enabled. Mode and the
+// extension RNG live in Options — they are campaign configuration, not
+// mutation targets.
 type Seed struct {
 	Threads  [][]trace.Entry
 	Faults   []Fault
 	Sched    []byte
 	FastPath bool
 	Prefix   bool
-	Epoch    bool
 }
 
 // Clone deep-copies the seed so mutation and shrinking never alias.
 func (s Seed) Clone() Seed {
-	c := Seed{FastPath: s.FastPath, Prefix: s.Prefix, Epoch: s.Epoch}
+	c := Seed{FastPath: s.FastPath, Prefix: s.Prefix}
 	c.Threads = make([][]trace.Entry, len(s.Threads))
 	for i, t := range s.Threads {
 		c.Threads[i] = append([]trace.Entry(nil), t...)
@@ -141,8 +140,8 @@ const maxFaultYield = 12
 // from the rename-heavy adversarial mix (the distribution the explorer
 // uses), occasionally from the uniform fstest stream, plus faults with
 // probability faultProb per thread.
-func RandomSeed(r *rand.Rand, threads, opsPer int, fastPath, prefix, epoch bool, faultProb float64) Seed {
-	s := Seed{FastPath: fastPath, Prefix: prefix, Epoch: epoch}
+func RandomSeed(r *rand.Rand, threads, opsPer int, fastPath, prefix bool, faultProb float64) Seed {
+	s := Seed{FastPath: fastPath, Prefix: prefix}
 	for t := 0; t < threads; t++ {
 		var prog []trace.Entry
 		if r.Intn(4) == 0 {
@@ -171,12 +170,11 @@ func RandomSeed(r *rand.Rand, threads, opsPer int, fastPath, prefix, epoch bool,
 }
 
 // Mutate applies 1–2 random structural or schedule mutations to a
-// (cloned) seed. flipFast / flipPrefix / flipEpoch permit toggling the
-// fast path, the prefix cache, and epoch reclamation (off when the
-// campaign pins them).
-func Mutate(s Seed, r *rand.Rand, flipFast, flipPrefix, flipEpoch bool) Seed {
+// (cloned) seed. flipFast / flipPrefix permit toggling the fast path and
+// the prefix cache (off when the campaign pins them).
+func Mutate(s Seed, r *rand.Rand, flipFast, flipPrefix bool) Seed {
 	for n := 1 + r.Intn(2); n > 0; n-- {
-		switch r.Intn(10) {
+		switch r.Intn(9) {
 		case 0: // truncate the schedule: keep a prefix, re-explore the suffix
 			if len(s.Sched) > 0 {
 				s.Sched = s.Sched[:r.Intn(len(s.Sched))]
@@ -228,10 +226,6 @@ func Mutate(s Seed, r *rand.Rand, flipFast, flipPrefix, flipEpoch bool) Seed {
 		case 8: // flip the prefix cache
 			if flipPrefix {
 				s.Prefix = !s.Prefix
-			}
-		case 9: // flip epoch-based reclamation
-			if flipEpoch {
-				s.Epoch = !s.Epoch
 			}
 		}
 	}

@@ -42,16 +42,12 @@ type OpSpec struct {
 }
 
 // Pair is a swept combination: B is the interrupted operation, A the
-// interrupting one. Setup builds the initial tree. Options configures
-// the FS under sweep (e.g. atomfs.WithEpoch()) — they apply both to the
-// point-counting solo run and to every schedule, so the counted points
-// match the replayed ones.
+// interrupting one. Setup builds the initial tree.
 type Pair struct {
-	Name    string
-	Setup   []string // directories/files: paths ending in "/" are dirs
-	B       OpSpec
-	A       OpSpec
-	Options []atomfs.Option
+	Name  string
+	Setup []string // directories/files: paths ending in "/" are dirs
+	B     OpSpec
+	A     OpSpec
 }
 
 // Outcome reports one pair's sweep.
@@ -86,7 +82,7 @@ func buildTree(fs *atomfs.FS, setup []string) error {
 
 // countPoints runs B alone and counts its hook events.
 func countPoints(p Pair) (int, error) {
-	fs := atomfs.New(p.Options...)
+	fs := atomfs.New()
 	if err := buildTree(fs, p.Setup); err != nil {
 		return 0, err
 	}
@@ -105,7 +101,7 @@ func countPoints(p Pair) (int, error) {
 func runSchedule(p Pair, k int) (bool, bool, error) {
 	rec := history.NewRecorder()
 	mon := core.NewMonitor(core.Config{Recorder: rec, CheckGoodAFS: true})
-	fs := atomfs.New(append([]atomfs.Option{atomfs.WithMonitor(mon)}, p.Options...)...)
+	fs := atomfs.New(atomfs.WithMonitor(mon))
 	if err := buildTree(fs, p.Setup); err != nil {
 		return false, false, err
 	}
@@ -246,20 +242,4 @@ func Catalogue() []Pair {
 			B: OpSpec{Name: "readdir(/a/b)", Op: spec.OpReaddir,
 				Run: func(fs *atomfs.FS) error { _, err := fs.Readdir(bgCtx, "/a/b"); return err }}},
 	}
-}
-
-// EpochCatalogue is the §3.2 matrix swept again under epoch-based
-// reclamation (atomfs.WithEpoch()): the same single-preemption coverage
-// statement, but now the interrupted reads traverse pinned and lock-free,
-// the interrupting rename retires detached entries into limbo, and the
-// read LPs go through the monitor's ReadEpochEntry rule. Every schedule
-// must still verify three ways — this is the exhaustive-interleaving
-// counterpart of the schedule fuzzer's randomized epoch coverage.
-func EpochCatalogue() []Pair {
-	pairs := Catalogue()
-	for i := range pairs {
-		pairs[i].Name += "/epoch"
-		pairs[i].Options = []atomfs.Option{atomfs.WithEpoch()}
-	}
-	return pairs
 }

@@ -70,29 +70,3 @@ func TestFig4cTripleSweep(t *testing.T) {
 	}
 	t.Logf("%s", out)
 }
-
-// TestEpochCatalogueSweep re-runs the rename-vs-everything matrix with
-// epoch-based reclamation on: reads walk pinned and lock-free, deletes
-// retire into limbo, and every single-preemption schedule must still
-// verify (monitor, quiescence, linearizability). Helping must survive the
-// mode switch — the epoch fast path refuses its LP whenever a helper is
-// queued, so helped schedules fall back and linearize externally.
-func TestEpochCatalogueSweep(t *testing.T) {
-	totalSchedules, totalHelped := 0, 0
-	for _, p := range EpochCatalogue() {
-		out := Run(p)
-		for _, f := range out.Failures {
-			t.Errorf("%s: %s", p.Name, f)
-		}
-		if out.Points == 0 {
-			t.Errorf("%s: no instrumentation points found", p.Name)
-		}
-		totalSchedules += out.Schedules
-		totalHelped += out.Helped
-		t.Logf("%s", out)
-	}
-	if totalHelped == 0 {
-		t.Error("no epoch schedule exercised helping")
-	}
-	t.Logf("total: %d epoch schedules verified", totalSchedules)
-}

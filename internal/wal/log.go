@@ -44,10 +44,6 @@ const (
 	ckptHdrSize = 1 + 8 + 4     // magic, seq, plen
 	crcSize     = 4
 
-	// maxPayload bounds a scanned record's claimed payload so garbage
-	// cannot induce giant allocations during recovery.
-	maxPayload = 1 << 24
-
 	// ckptChunk is the checkpoint encoder's write unit: a blob streams to
 	// the device through one buffer of this size, so a checkpoint's
 	// transient memory is the chunk, not the state.

@@ -125,9 +125,9 @@ func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
 }
 
 func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, error) {
-	// The length comes from a CRC-sealed superblock, not from scanned
-	// bytes, so it is bounded by what the device holds rather than by
-	// maxPayload: a state of any size that was written can be read back.
+	// The length comes from a CRC-sealed superblock and is bounded by
+	// what the device holds: a state of any size that was written can be
+	// read back.
 	if ext := dev.extent(); length < ckptHdrSize+crcSize || off < logBase || length > ext-off {
 		return nil, fmt.Errorf("implausible extent [%d, +%d) on a device of %d bytes", off, length, ext)
 	}
@@ -161,7 +161,11 @@ func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, 
 }
 
 // readRecord scans one record at off, returning ok=false at anything
-// that is not a whole, checksummed, seq-continuous record.
+// that is not a whole, checksummed, seq-continuous record. The claimed
+// payload length is bounded by the device's written extent, so garbage
+// cannot induce an allocation larger than the log itself, while a record
+// of any size that was written (a file.MaxSize Write, a large attach
+// subtree) scans back; the CRC rejects the rest.
 func readRecord(dev *Device, off int64, wantSeq uint64) (spec.Op, spec.Args, int64, bool) {
 	hdr := make([]byte, recHdrSize)
 	if dev.ReadAt(off, hdr) != nil || hdr[0] != recMagic {
@@ -170,7 +174,7 @@ func readRecord(dev *Device, off int64, wantSeq uint64) (spec.Op, spec.Args, int
 	op := spec.Op(hdr[1])
 	seq := binary.LittleEndian.Uint64(hdr[2:10])
 	plen := int64(binary.LittleEndian.Uint32(hdr[10:14]))
-	if seq != wantSeq || plen > maxPayload {
+	if seq != wantSeq || recHdrSize+plen+crcSize > dev.extent()-off {
 		return 0, spec.Args{}, 0, false
 	}
 	rec := make([]byte, recHdrSize+plen+crcSize)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/file"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -643,9 +644,8 @@ func newBigDev(bytes int) *Device {
 	return NewDevice(block.NewStore(bytes/block.Size), 0)
 }
 
-// TestLargeCheckpointRecovers: a state past the 16 MiB cap on scanned
-// records must still checkpoint and recover — the sealed superblock, not
-// the scan, vouches for the blob's length.
+// TestLargeCheckpointRecovers: a state past 16 MiB must still checkpoint
+// and recover — the sealed superblock vouches for the blob's length.
 func TestLargeCheckpointRecovers(t *testing.T) {
 	dev := newBigDev(96 << 20)
 	l := NewLog(dev, Config{})
@@ -653,8 +653,8 @@ func TestLargeCheckpointRecovers(t *testing.T) {
 	if err := l.CheckpointNow(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if l.ckptLen <= maxPayload {
-		t.Fatalf("blob is %d bytes, test needs > %d", l.ckptLen, maxPayload)
+	if l.ckptLen <= 16<<20 {
+		t.Fatalf("blob is %d bytes, test needs > %d", l.ckptLen, 16<<20)
 	}
 	if _, err := l.Append(spec.OpMknod, spec.Args{Path: "/after"}); err != nil {
 		t.Fatal(err)
@@ -665,6 +665,43 @@ func TestLargeCheckpointRecovers(t *testing.T) {
 	}
 	if info.CkptSeq != l.LastSeq()-1 || info.Replayed != 1 {
 		t.Fatalf("info = %+v", info)
+	}
+	if afs.Key() != l.ShadowKey() {
+		t.Fatal("recovered state diverges from shadow")
+	}
+}
+
+// TestRecordPastSixteenMiBRecovers: a Write of file.MaxSize bytes is a
+// legal operation whose record payload exceeds 16 MiB. It is
+// acknowledged durable, so recovery must replay it and every record
+// after it, not stop the scan at its header.
+func TestRecordPastSixteenMiBRecovers(t *testing.T) {
+	dev := newBigDev(48 << 20)
+	l := NewLog(dev, Config{})
+	data := make([]byte, file.MaxSize)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	for _, st := range []step{
+		{spec.OpMknod, spec.Args{Path: "/f"}},
+		{spec.OpWrite, spec.Args{Path: "/f", Data: data}},
+		{spec.OpMknod, spec.Args{Path: "/after"}},
+	} {
+		tk, err := l.Append(st.op, st.args)
+		if err != nil {
+			t.Fatalf("%s %s: %v", st.op, st.args.Path, err)
+		}
+		if err := tk.Wait(); err != nil {
+			t.Fatalf("%s %s: wait: %v", st.op, st.args.Path, err)
+		}
+	}
+	afs, info, err := Recover(dev, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if info.Replayed != 3 || info.LastSeq != l.LastSeq() {
+		t.Fatalf("replayed %d records up to seq %d, want 3 up to %d (%s)",
+			info.Replayed, info.LastSeq, l.LastSeq(), info)
 	}
 	if afs.Key() != l.ShadowKey() {
 		t.Fatal("recovered state diverges from shadow")
