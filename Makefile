@@ -22,11 +22,13 @@ test:
 
 # Race everything, then give the schedule-sensitive code (fast-path
 # reads vs rename/unlink storms, lock-free dir.Table readers, the
-# cancellation storms and mid-traversal aborts) extra -race rounds:
-# these are the tests whose schedules vary run to run.
+# cancellation storms and mid-traversal aborts, cross-volume rename
+# storms) extra -race rounds: these are the tests whose schedules vary
+# run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'FastPath|LockFree|Cancel' ./internal/atomfs ./internal/dir ./internal/fuse
+	$(GO) test -race -count=4 ./internal/mount
 
 # The full verification story: vet + ctxlint, the raced lock-free and
 # cancellation packages, then scenarios, sweeps, stress, explorer.

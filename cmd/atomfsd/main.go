@@ -85,7 +85,6 @@ func main() {
 	journal := flag.Bool("journal", false, "write-ahead journal per volume with recovery verify on shutdown (implies -monitor)")
 	journalCkpt := flag.Int("journal-ckpt", 256, "minimum records between journal checkpoints (one is taken once a quarter of the last one's bytes has also been logged)")
 	journalBlocks := flag.Int("journal-blocks", 1<<16, "journal device size in 4KiB blocks")
-	noCoalesce := flag.Bool("no-coalesce", false, "one vectored write per reply frame (baseline for the coalescing win; DESIGN.md s15)")
 	flag.Parse()
 
 	if *journal && !*monitored {
@@ -178,7 +177,6 @@ func main() {
 	}
 	srv := fuse.NewServer(fs)
 	srv.SetObs(reg)
-	srv.SetCoalesce(!*noCoalesce)
 	if *quota != "" {
 		for _, ent := range strings.Split(*quota, ",") {
 			tenant, budget, ok := strings.Cut(strings.TrimSpace(ent), "=")

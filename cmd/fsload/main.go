@@ -19,7 +19,6 @@
 //	fsload -rates 2000,5000,10000       # explicit offered-rate ladder
 //	fsload -addr 127.0.0.1:7433         # drive a running atomfsd
 //	fsload -duration 5s -read 0.5       # longer cells, 50% reads
-//	fsload -no-coalesce                 # per-frame baseline (self-hosted only)
 //	fsload -json sweep.json             # machine-readable results
 package main
 
@@ -58,7 +57,6 @@ func main() {
 	readFrac := flag.Float64("read", 0.3, "fraction of ops that are 4KiB reads (the rest are stats)")
 	files := flag.Int("files", 64, "files in the prepared tree")
 	outstanding := flag.Int("outstanding", 96, "max concurrently outstanding ops (finite client population)")
-	noCoalesce := flag.Bool("no-coalesce", false, "self-hosted server writes one frame per syscall (baseline)")
 	jsonOut := flag.String("json", "", "also write results as JSON to this file")
 	seed := flag.Int64("seed", 1, "arrival-process seed")
 	nogc := flag.Bool("nogc", false, "disable GC during each cell (tail hygiene on small hosts; see internal/fsload)")
@@ -79,11 +77,10 @@ func main() {
 			die(lerr)
 		}
 		srv := fuse.NewServer(atomfs.New(atomfs.WithFastPath()))
-		srv.SetCoalesce(!*noCoalesce)
 		go srv.Serve(lis)
 		defer srv.Close()
 		client, err = fuse.Dial(lis.Addr().String())
-		fmt.Printf("fsload: self-hosted atomfs on %s (coalesce=%v)\n", lis.Addr(), !*noCoalesce)
+		fmt.Printf("fsload: self-hosted atomfs on %s\n", lis.Addr())
 	}
 	if err != nil {
 		die(err)

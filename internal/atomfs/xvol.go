@@ -275,8 +275,11 @@ func (d *Detach) Complete(commitErr error) error {
 func (fs *FS) AttachCommit(ctx context.Context, path string, rec *core.CrossRecord) error {
 	sub := rec.Sub()
 	o := fs.begin(ctx, spec.OpAttach, spec.Args{Path: path, Sub: sub})
+	// fail runs after o.end has recycled o, so it must not read o: take
+	// the session now.
+	s := o.s
 	fail := func(err error) error {
-		o.s.CrossAbort(rec, err)
+		s.CrossAbort(rec, err)
 		return err
 	}
 	if sub == nil {

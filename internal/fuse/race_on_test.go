@@ -1,0 +1,7 @@
+//go:build race
+
+package fuse
+
+// raceEnabled reports a -race build, whose scheduler randomizes run-queue
+// order.
+const raceEnabled = true

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fsapi"
@@ -15,10 +16,14 @@ import (
 	"repro/internal/spec"
 )
 
-// Server dispatches protocol requests to a file system. Each request runs
-// on its own goroutine (bounded by a semaphore), matching FUSE's
-// multi-threaded daemon loop, so independent operations proceed in
-// parallel even over one connection.
+// Server dispatches protocol requests to a file system. Every connection
+// is served by a leader/follower pool, the shape of libfuse's
+// multi-threaded daemon loop: the goroutine that reads a request first
+// hands the reader role to an idle goroutine of the pool (starting one
+// only if none is idle), then serves the request itself and goes idle.
+// Independent operations proceed in parallel even over one connection,
+// a request parked in the file system never stops the next one being
+// read, and a semaphore bounds the requests being served (see srvConn).
 //
 // Replies do not contend on a write mutex: every connection owns a
 // bounded reply queue drained by a single writer goroutine that coalesces
@@ -40,11 +45,9 @@ import (
 // must not be allowed to acquire inode locks just to discover it is late.
 type Server struct {
 	fs fsapi.FS
-	// MaxInflight bounds concurrent requests per connection.
+	// maxInflight bounds the requests served at once per connection, and
+	// the idle goroutines its pool keeps.
 	maxInflight int
-	// coalesce false degrades the per-connection writer to one write per
-	// frame — the measured baseline for the batching win (SetCoalesce).
-	coalesce bool
 	// obs, when non-nil, instruments the dispatch loop (see SetObs).
 	obs *srvObs
 
@@ -61,14 +64,12 @@ type Server struct {
 
 // NewServer creates a server over fs.
 func NewServer(fs fsapi.FS) *Server {
-	return &Server{fs: fs, maxInflight: 64, coalesce: true, conns: map[net.Conn]func(){}}
+	return &Server{fs: fs, maxInflight: 64, conns: map[net.Conn]func(){}}
 }
 
-// SetCoalesce toggles reply coalescing (on by default). Off, the writer
-// goroutine still serializes replies but issues one vectored write per
-// frame — the per-frame baseline cmd/benchjson's net suite measures the
-// coalescing speedup against. Call before serving.
-func (s *Server) SetCoalesce(on bool) { s.coalesce = on }
+// SetCoalesce does nothing: reply coalescing is always on. It remains so
+// that existing callers keep compiling.
+func (s *Server) SetCoalesce(on bool) {}
 
 // Serve accepts connections until the listener closes.
 func (s *Server) Serve(lis net.Listener) error {
@@ -120,7 +121,9 @@ func (s *Server) Close() {
 }
 
 // ServeConn processes one connection synchronously (exported so tests and
-// in-process transports can drive a net.Pipe end directly).
+// in-process transports can drive a net.Pipe end directly). The calling
+// goroutine is the connection's first leader; ServeConn returns once the
+// connection is gone and every goroutine of its pool has exited.
 func (s *Server) ServeConn(conn net.Conn) {
 	// The connection is the root of this request tree; there is no caller
 	// context to inherit from. ctxlint:allow
@@ -144,75 +147,140 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if p != nil {
 		flushed = p.flush
 	}
-	w := newFrameWriter(conn, s.coalesce, flushed)
-	defer w.stop()
-	// Buffered reads are the receive half of coalescing: a batch the peer
-	// wrote with one writev drains here in one read syscall instead of
-	// two per frame.
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var inflight sync.WaitGroup
-	sem := make(chan struct{}, s.maxInflight)
+	c := &srvConn{
+		s:      s,
+		ctx:    ctx,
+		cancel: cancel,
+		// Buffered reads are the receive half of coalescing: a batch the
+		// peer wrote with one writev drains here in one read syscall
+		// instead of two per frame.
+		br:   bufio.NewReaderSize(conn, 64<<10),
+		w:    newFrameWriter(conn, flushed),
+		sem:  make(chan struct{}, s.maxInflight),
+		lead: make(chan struct{}),
+	}
+	defer c.w.stop()
+	c.loop()
+	c.pool.Wait()
+}
+
+// srvConn is one connection's leader/follower pool (see Server). Exactly
+// one goroutine of the pool — the leader — owns br. Pool goroutines live
+// as long as the connection, so a request costs no goroutine start and
+// its handler runs on a stack an earlier request already grew.
+type srvConn struct {
+	s      *Server
+	ctx    context.Context
+	cancel context.CancelFunc
+	br     *bufio.Reader
+	w      *frameWriter
+	sem    chan struct{} // bounds requests past admission (maxInflight)
+	// lead carries the reader role: followers park receiving on it and the
+	// leader hands off with a non-blocking send. Only the leader sends, so
+	// the leader that sees the connection fail may close it, which wakes
+	// every parked follower to exit.
+	lead   chan struct{}
+	parked atomic.Int32
+	pool   sync.WaitGroup // pool goroutines other than ServeConn's own
+}
+
+// loop runs one pool goroutine. It enters as the leader.
+func (c *srvConn) loop() {
+	p := c.s.obs
 	for {
-		frame, err := readFrame(br)
-		if err != nil {
-			break // EOF or broken connection
+		frame, err := readFrame(c.br)
+		var req *request
+		if err == nil {
+			if req, err = decodeRequest(frame); err != nil {
+				putBuf(frame)
+			}
 		}
-		req, err := decodeRequest(frame)
 		if err != nil {
-			putBuf(frame)
-			break // protocol violation; drop the connection
+			// EOF, broken connection or protocol violation: drop the
+			// connection, abort every in-flight request, release the pool.
+			c.cancel()
+			close(c.lead)
+			return
 		}
 		req.frame = frame
 		// Anchor the wire deadline before the request can queue on the
 		// semaphore: time spent waiting for an inflight slot counts
 		// against the caller's budget, exactly like time spent in FUSE's
 		// pending queue.
-		reqCtx, reqCancel := ctx, func() {}
+		ctx, cancel := c.ctx, context.CancelFunc(func() {})
 		if req.TimeoutNs > 0 {
-			reqCtx, reqCancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNs))
+			ctx, cancel = context.WithTimeout(c.ctx, time.Duration(req.TimeoutNs))
 		}
 		var queuedNs int64
 		if p != nil {
 			queuedNs = p.queueReq(req, len(frame))
 		}
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			defer reqCancel()
-			// Per-tenant admission runs BEFORE the inflight semaphore: a
-			// throttled tenant waits (or is rejected) without holding a
-			// dispatch slot the other tenants could use.
-			if err := s.admit(reqCtx, req); err != nil {
-				if p != nil {
-					p.dispatchReq(req)
-				}
-				s.reply(reqCtx, w, req, &reply{ID: req.ID, Errno: fserr.Errno(err)}, queuedNs)
-				putBuf(req.frame)
-				return
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if p != nil {
-				p.dispatchReq(req)
-			}
-			var rep *reply
-			if err := reqCtx.Err(); err != nil {
-				// Admission check: the deadline expired (or the connection
-				// died) while the request sat in the queue. Reject it here,
-				// before it can hold any inode lock.
-				rep = &reply{ID: req.ID, Errno: fserr.Errno(err)}
-			} else {
-				rep = s.handle(reqCtx, req)
-			}
-			// The handler is done with the request's payload; the reply
-			// owns only pooled buffers of its own.
-			putBuf(req.frame)
-			req.frame = nil
-			s.reply(reqCtx, w, req, rep, queuedNs)
-		}()
+		// Hand the reader role on before serving: a request parked in the
+		// file system must never stop the connection reading the next one.
+		select {
+		case c.lead <- struct{}{}:
+		default:
+			c.pool.Add(1)
+			go func() {
+				defer c.pool.Done()
+				c.loop()
+			}()
+		}
+		c.serve(ctx, req, queuedNs)
+		cancel()
+		if !c.park() {
+			return
+		}
 	}
-	cancel() // connection gone: abort every in-flight request
-	inflight.Wait()
+}
+
+// park waits as a follower until the leader hands over the reader role.
+// It reports false when the goroutine should exit instead: the connection
+// is gone, or maxInflight followers are already parked.
+func (c *srvConn) park() bool {
+	if c.parked.Add(1) > int32(c.s.maxInflight) {
+		c.parked.Add(-1)
+		return false
+	}
+	_, ok := <-c.lead
+	c.parked.Add(-1)
+	return ok
+}
+
+// serve admits one request, runs it against the file system and queues
+// its reply.
+func (c *srvConn) serve(ctx context.Context, req *request, queuedNs int64) {
+	s, p := c.s, c.s.obs
+	// Per-tenant admission runs BEFORE the inflight semaphore: a throttled
+	// tenant waits (or is rejected) without holding a dispatch slot the
+	// other tenants could use.
+	if err := s.admit(ctx, req); err != nil {
+		if p != nil {
+			p.dispatchReq(req)
+		}
+		s.reply(ctx, c.w, req, &reply{ID: req.ID, Errno: fserr.Errno(err)}, queuedNs)
+		putBuf(req.frame)
+		return
+	}
+	c.sem <- struct{}{}
+	defer func() { <-c.sem }()
+	if p != nil {
+		p.dispatchReq(req)
+	}
+	var rep *reply
+	if err := ctx.Err(); err != nil {
+		// Admission check: the deadline expired (or the connection died)
+		// while the request sat in the queue. Reject it here, before it
+		// can hold any inode lock.
+		rep = &reply{ID: req.ID, Errno: fserr.Errno(err)}
+	} else {
+		rep = s.handle(ctx, req)
+	}
+	// The handler is done with the request's payload; the reply owns only
+	// pooled buffers of its own.
+	putBuf(req.frame)
+	req.frame = nil
+	s.reply(ctx, c.w, req, rep, queuedNs)
 }
 
 // reply encodes rep and enqueues it on the connection writer, recording
@@ -436,7 +504,7 @@ var _ fsapi.FS = (*Client)(nil)
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{conn: conn, pending: map[uint64]chan *reply{}, done: make(chan struct{})}
-	c.w = newFrameWriter(conn, true, nil)
+	c.w = newFrameWriter(conn, nil)
 	go c.readLoop()
 	return c
 }

@@ -60,10 +60,6 @@ type frameWriter struct {
 	once sync.Once
 	wg   sync.WaitGroup
 
-	// coalesce false degrades to one vectored write per frame — the
-	// baseline the net bench suite measures the batching win against.
-	coalesce bool
-
 	// flushed, when non-nil, observes each completed write: the number of
 	// frames it carried and its byte count.
 	flushed func(frames, bytes int)
@@ -73,13 +69,12 @@ type frameWriter struct {
 // can substitute non-net writers.
 type ioWriter = interface{ Write(p []byte) (int, error) }
 
-func newFrameWriter(conn ioWriter, coalesce bool, flushed func(frames, bytes int)) *frameWriter {
+func newFrameWriter(conn ioWriter, flushed func(frames, bytes int)) *frameWriter {
 	w := &frameWriter{
-		conn:     conn,
-		ch:       make(chan outFrame, sendQueueDepth),
-		dead:     make(chan struct{}),
-		coalesce: coalesce,
-		flushed:  flushed,
+		conn:    conn,
+		ch:      make(chan outFrame, sendQueueDepth),
+		dead:    make(chan struct{}),
+		flushed: flushed,
 	}
 	w.wg.Add(1)
 	go w.loop()
@@ -151,23 +146,21 @@ func (w *frameWriter) loop() {
 		n := 0
 		batch[n] = first
 		n++
-		if w.coalesce {
-			// One scheduler yield before the sweep: the send that woke this
-			// goroutine usually races ahead of its siblings (a storm's other
-			// handlers are runnable but haven't enqueued yet), and sweeping
-			// immediately would find an empty queue and degrade to per-frame
-			// writes. Yielding lets every runnable producer enqueue first —
-			// a bounded, load-proportional batching delay (no timer).
-			runtime.Gosched()
-		fill:
-			for n < maxBatchFrames {
-				select {
-				case f := <-w.ch:
-					batch[n] = f
-					n++
-				default:
-					break fill
-				}
+		// One scheduler yield before the sweep: the send that woke this
+		// goroutine usually races ahead of its siblings (a storm's other
+		// handlers are runnable but haven't enqueued yet), and sweeping
+		// immediately would find an empty queue and degrade to per-frame
+		// writes. Yielding lets every runnable producer enqueue first — a
+		// bounded, load-proportional batching delay (no timer).
+		runtime.Gosched()
+	fill:
+		for n < maxBatchFrames {
+			select {
+			case f := <-w.ch:
+				batch[n] = f
+				n++
+			default:
+				break fill
 			}
 		}
 		bufs = bufs[:0]
