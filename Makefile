@@ -23,12 +23,14 @@ test:
 # Race everything, then give the schedule-sensitive code (fast-path
 # reads vs rename/unlink storms, lock-free dir.Table readers, the
 # cancellation storms and mid-traversal aborts, cross-volume rename
-# storms) extra -race rounds: these are the tests whose schedules vary
-# run to run.
+# storms, the journal's checkpointer goroutine sealing beside appends and
+# the copy-on-write snapshot it reads) extra -race rounds: these are the
+# tests whose schedules vary run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'FastPath|LockFree|Cancel' ./internal/atomfs ./internal/dir ./internal/fuse
 	$(GO) test -race -count=4 ./internal/mount
+	$(GO) test -race -count=4 ./internal/wal ./internal/spec
 
 # The full verification story: vet + ctxlint, the raced lock-free and
 # cancellation packages, then scenarios, sweeps, stress, explorer.

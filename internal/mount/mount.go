@@ -132,8 +132,33 @@ func (ns *NS) resolveParts(parts []string) (fsapi.FS, string) {
 	return ns.mounts[len(ns.mounts)-1].FS, pathname.Join(parts)
 }
 
+// resolveCanonical is resolveParts for a canonical path
+// (pathname.Canonical), matched as a string: a mount covers path when its
+// Path is path or a prefix of it ending at a "/", and the residual is the
+// rest of path, a substring. It allocates nothing.
+func (ns *NS) resolveCanonical(path string) (fsapi.FS, string) {
+	for _, e := range ns.mounts {
+		switch {
+		case len(e.parts) == 0:
+			return e.FS, path
+		case path == e.Path:
+			return e.FS, "/"
+		case len(path) > len(e.Path) && path[len(e.Path)] == '/' && path[:len(e.Path)] == e.Path:
+			return e.FS, path[len(e.Path):]
+		}
+	}
+	// Unreachable: the root entry has zero parts and matches everything.
+	return ns.mounts[len(ns.mounts)-1].FS, path
+}
+
 // Resolve maps an absolute path to its serving volume and residual path.
+// A canonical path resolves on the string, without allocating; any other
+// is split and re-joined.
 func (ns *NS) Resolve(path string) (fsapi.FS, string, error) {
+	if pathname.Canonical(path) {
+		v, rel := ns.resolveCanonical(path)
+		return v, rel, nil
+	}
 	parts, err := pathname.Split(path)
 	if err != nil {
 		return nil, "", err
@@ -142,12 +167,41 @@ func (ns *NS) Resolve(path string) (fsapi.FS, string, error) {
 	return v, rel, nil
 }
 
+// resolvePinned is Resolve for the operations that may not touch a
+// mount point: it also reports whether path pins one (pinsMount).
+func (ns *NS) resolvePinned(path string) (v fsapi.FS, rel string, pinned bool, err error) {
+	if pathname.Canonical(path) {
+		v, rel = ns.resolveCanonical(path)
+		return v, rel, ns.pinsCanonical(path), nil
+	}
+	parts, err := pathname.Split(path)
+	if err != nil {
+		return nil, "", false, err
+	}
+	v, rel = ns.resolveParts(parts)
+	return v, rel, ns.pinsMount(parts), nil
+}
+
 // pinsMount reports whether parts is a mount point or an ancestor of one:
 // paths the namespace refuses to rename or remove (EBUSY). The root entry
 // (zero parts) never pins — everything would be its "descendant".
 func (ns *NS) pinsMount(parts []string) bool {
 	for _, e := range ns.mounts {
 		if len(e.parts) > 0 && len(parts) <= len(e.parts) && prefixEq(parts, e.parts) {
+			return true
+		}
+	}
+	return false
+}
+
+// pinsCanonical is pinsMount for a canonical path, matched as a string.
+func (ns *NS) pinsCanonical(path string) bool {
+	if path == "/" {
+		return len(ns.mounts) > 1 // every other mount is below the root
+	}
+	for _, e := range ns.mounts {
+		if len(e.parts) > 0 && len(path) <= len(e.Path) && e.Path[:len(path)] == path &&
+			(len(path) == len(e.Path) || e.Path[len(path)] == '/') {
 			return true
 		}
 	}
@@ -173,26 +227,24 @@ func (ns *NS) Mkdir(ctx context.Context, path string) error {
 }
 
 func (ns *NS) Rmdir(ctx context.Context, path string) error {
-	parts, err := pathname.Split(path)
+	v, rel, pinned, err := ns.resolvePinned(path)
 	if err != nil {
 		return err
 	}
-	if ns.pinsMount(parts) {
+	if pinned {
 		return fserr.ErrBusy
 	}
-	v, rel := ns.resolveParts(parts)
 	return v.Rmdir(ctx, rel)
 }
 
 func (ns *NS) Unlink(ctx context.Context, path string) error {
-	parts, err := pathname.Split(path)
+	v, rel, pinned, err := ns.resolvePinned(path)
 	if err != nil {
 		return err
 	}
-	if ns.pinsMount(parts) {
+	if pinned {
 		return fserr.ErrBusy
 	}
-	v, rel := ns.resolveParts(parts)
 	return v.Unlink(ctx, rel)
 }
 
@@ -239,19 +291,17 @@ func (ns *NS) Readdir(ctx context.Context, path string) ([]string, error) {
 // Rename renames within one volume directly, or composes a cross-volume
 // rename. Mount points and their ancestors are pinned (EBUSY).
 func (ns *NS) Rename(ctx context.Context, src, dst string) error {
-	sparts, err := pathname.Split(src)
+	sv, srel, spinned, err := ns.resolvePinned(src)
 	if err != nil {
 		return err
 	}
-	dparts, err := pathname.Split(dst)
+	dv, drel, dpinned, err := ns.resolvePinned(dst)
 	if err != nil {
 		return err
 	}
-	if ns.pinsMount(sparts) || ns.pinsMount(dparts) {
+	if spinned || dpinned {
 		return fserr.ErrBusy
 	}
-	sv, srel := ns.resolveParts(sparts)
-	dv, drel := ns.resolveParts(dparts)
 	if sv == dv {
 		return sv.Rename(ctx, srel, drel)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
 	"repro/internal/memfs"
+	"repro/internal/pathname"
 )
 
 var tctx = context.Background()
@@ -207,5 +208,82 @@ func TestCrossRenameStress(t *testing.T) {
 	}
 	if aborts == 0 {
 		t.Error("stress never took the abort path")
+	}
+}
+
+// TestResolveOnStringMatchesSplit: the string-matching resolve of
+// canonical paths and the split-and-join resolve agree on every path —
+// volume, residual, mount pinning and error — canonical or not.
+func TestResolveOnStringMatchesSplit(t *testing.T) {
+	ns := New(memfs.New())
+	for _, m := range []string{"/m", "/m/deep", "/a/b", "/v1"} {
+		if err := ns.Mount(tctx, m, memfs.New()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{
+		"/", "/m", "/m/", "/m/f", "/m//f", "/m/deep", "/m/deep/f/g", "/m/deeper", "/mm",
+		"/a", "/a/b", "/a/bc", "/a/b/c", "/a/c", "/v1/d03/sub/f001", "/v", "/v10",
+		"//m/deep", "/m/./f", "/m/..", "", "m/f", "/a\x00b",
+	} {
+		v, rel, pinned, err := ns.resolvePinned(p)
+		rv, rrel, rerr := ns.Resolve(p)
+		parts, serr := pathname.Split(p)
+		if serr != nil {
+			if !errors.Is(err, serr) || !errors.Is(rerr, serr) {
+				t.Errorf("%q: errors %v / %v, want %v", p, err, rerr, serr)
+			}
+			continue
+		}
+		wv, wrel := ns.resolveParts(parts)
+		if err != nil || rerr != nil || v != wv || rv != wv || rel != wrel || rrel != wrel {
+			t.Errorf("%q: resolved to (%s, %q) and (%s, %q), want (%s, %q)",
+				p, fsapi.Name(v), rel, fsapi.Name(rv), rrel, fsapi.Name(wv), wrel)
+		}
+		if want := ns.pinsMount(parts); pinned != want {
+			t.Errorf("%q: pinned = %v, want %v", p, pinned, want)
+		}
+	}
+}
+
+// TestResolveCanonicalAllocatesNothing: resolving a canonical path, and
+// checking it for a pinned mount, allocates nothing.
+func TestResolveCanonicalAllocatesNothing(t *testing.T) {
+	ns := New(memfs.New())
+	for _, m := range []string{"/v0", "/v1", "/v2"} {
+		if err := ns.Mount(tctx, m, memfs.New()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/v1/d03/sub/f001", "/top/f", "/v2"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := ns.Resolve(p); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Resolve(%q): %v allocs, want 0", p, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { ns.resolvePinned(p) }); n != 0 {
+			t.Errorf("resolvePinned(%q): %v allocs, want 0", p, n)
+		}
+	}
+}
+
+func BenchmarkResolve(b *testing.B) {
+	ns := New(memfs.New())
+	for i := 0; i < 4; i++ {
+		if err := ns.Mount(tctx, fmt.Sprintf("/v%d", i), memfs.New()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/v1/d03/sub/f001", "/v1//d03/sub/f001/"} {
+		b.Run(p, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ns.Resolve(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

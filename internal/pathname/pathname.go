@@ -90,6 +90,33 @@ func SplitAppend(path string, buf []string) ([]string, error) {
 	return parts, nil
 }
 
+// Canonical reports whether path is valid and already in the form
+// Join(Split(path)) renders: absolute, no empty component ("//" or a
+// trailing "/"), no "." or "..", no NUL, within the length limits. Such a
+// path can be matched and sliced as a string, without splitting it.
+func Canonical(path string) bool {
+	if len(path) == 0 || len(path) > MaxPathLen || path[0] != '/' {
+		return false
+	}
+	if len(path) == 1 {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			if path[i] == 0 {
+				return false
+			}
+			continue
+		}
+		if c := path[start:i]; c == "" || c == "." || c == ".." || len(c) > MaxNameLen {
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
 // SplitDir parses path into the components of its parent directory plus the
 // final name. It fails with ErrInvalid on the root path, which has no
 // parent.

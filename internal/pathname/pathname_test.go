@@ -216,3 +216,26 @@ func equal(a, b []string) bool {
 	}
 	return true
 }
+
+// TestCanonical: a path is canonical exactly when it is valid and Clean
+// leaves it unchanged.
+func TestCanonical(t *testing.T) {
+	long := "/" + strings.Repeat("n", MaxNameLen+1)
+	for _, p := range []string{
+		"/", "/a", "/a/b", "/v1/d03/sub/f001", "//", "/a/", "/a//b", "a/b", "",
+		"/.", "/a/..", "/a/.b", "/a\x00b", long, "/..a", "/a/b/",
+	} {
+		clean, err := Clean(p)
+		want := err == nil && clean == p
+		if got := Canonical(p); got != want {
+			t.Errorf("Canonical(%q) = %v, want %v (Clean: %q, %v)", p, got, want, clean, err)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		p := Join(genParts(r))
+		if !Canonical(p) {
+			t.Fatalf("Canonical(%q) = false for a joined path", p)
+		}
+	}
+}

@@ -133,6 +133,11 @@ func ExecuteCrash(s CrashSeed) *CrashResult {
 			break
 		}
 		ret := fstest.ApplyFS(ctx, fs, e.Op, e.Args)
+		// A checkpoint the op cut seals on a goroutine of its own; waiting
+		// for it keeps the journal's write stream — and so what the crash
+		// offset cuts — a function of the program alone. A seal's error is
+		// latched as the log's, which the loop's Broken check reads.
+		_ = l.Settle()
 		res.Issued++
 		if !e.Op.Mutates() {
 			continue

@@ -66,7 +66,7 @@ func (fs *AFS) ins(path string, kind Kind) (Ret, []Effect) {
 		return ErrRet(fserr.ErrExist), nil
 	}
 	child := fs.alloc(kind)
-	pn.Links[name] = child
+	fs.own(parent, pn).Links[name] = child
 	return OkRet(), []Effect{
 		{Kind: EffCreat, Ino: child},
 		{Kind: EffIns, Parent: parent, Name: name, Ino: child},
@@ -102,7 +102,7 @@ func (fs *AFS) del(path string, kind Kind) (Ret, []Effect) {
 	} else if cn.Kind == KindDir {
 		return ErrRet(fserr.ErrIsDir), nil
 	}
-	delete(pn.Links, name)
+	delete(fs.own(parent, pn).Links, name)
 	delete(fs.Imap, child)
 	return OkRet(), []Effect{
 		{Kind: EffDel, Parent: parent, Name: name, Ino: child},
@@ -166,12 +166,19 @@ func (fs *AFS) rename(src, dst string) (Ret, []Effect) {
 		} else if dnodeNode.Kind == KindDir {
 			return ErrRet(fserr.ErrIsDir), nil
 		}
+		ddirNode = fs.own(ddir, ddirNode)
 		delete(ddirNode.Links, dn)
 		delete(fs.Imap, dnode)
 		effects = append(effects,
 			Effect{Kind: EffDel, Parent: ddir, Name: dn, Ino: dnode},
 			Effect{Kind: EffFree, Ino: dnode, Node: dnodeNode},
 		)
+	}
+	ddirNode = fs.own(ddir, ddirNode)
+	if sdir == ddir {
+		sdirNode = ddirNode // one node: owning it twice would drop the first copy
+	} else {
+		sdirNode = fs.own(sdir, sdirNode)
 	}
 	delete(sdirNode.Links, sn)
 	ddirNode.Links[dn] = snode
@@ -203,7 +210,7 @@ func (fs *AFS) detach(path string) (Ret, []Effect) {
 	if !ok {
 		return ErrRet(fserr.ErrNotExist), nil
 	}
-	delete(pn.Links, name)
+	delete(fs.own(parent, pn).Links, name)
 	effects := []Effect{{Kind: EffDel, Parent: parent, Name: name, Ino: child}}
 	var free func(Inum)
 	free = func(ino Inum) {
@@ -260,6 +267,7 @@ func (fs *AFS) attach(path string, sub *SubTree) (Ret, []Effect) {
 		} else if dnodeNode.Kind == KindDir {
 			return ErrRet(fserr.ErrIsDir), nil
 		}
+		pn = fs.own(parent, pn)
 		delete(pn.Links, name)
 		delete(fs.Imap, dnode)
 		effects = append(effects,
@@ -287,7 +295,7 @@ func (fs *AFS) attach(path string, sub *SubTree) (Ret, []Effect) {
 		return ino
 	}
 	top := build(sub)
-	pn.Links[name] = top
+	fs.own(parent, pn).Links[name] = top
 	effects = append(effects, Effect{Kind: EffIns, Parent: parent, Name: name, Ino: top})
 	return OkRet(), effects
 }
@@ -357,6 +365,7 @@ func (fs *AFS) write(path string, off int64, data []byte) (Ret, []Effect) {
 	if n.Kind == KindDir {
 		return ErrRet(fserr.ErrIsDir), nil
 	}
+	n = fs.own(ino, n)
 	end := off + int64(len(data))
 	// Save the overwritten window for rollback: old length plus the bytes
 	// in [off, min(end, oldLen)).
@@ -387,6 +396,7 @@ func (fs *AFS) truncate(path string, size int64) (Ret, []Effect) {
 	if n.Kind == KindDir {
 		return ErrRet(fserr.ErrIsDir), nil
 	}
+	n = fs.own(ino, n)
 	old := n.Data
 	if size <= int64(len(n.Data)) {
 		n.Data = append([]byte(nil), n.Data[:size]...)

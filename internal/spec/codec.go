@@ -214,6 +214,32 @@ func AppendArgs(dst []byte, a Args) []byte {
 	return AppendSubTree(dst, a.Sub)
 }
 
+// ArgsSize returns len(AppendArgs(nil, a)) without encoding, so a frame
+// around the arguments can be sized once, up front.
+func ArgsSize(a Args) int64 {
+	return bytesLen(len(a.Path)) + bytesLen(len(a.Path2)) +
+		uvarintLen(uint64(a.Off)) + uvarintLen(uint64(a.Size)) +
+		bytesLen(len(a.Data)) + subTreeSize(a.Sub)
+}
+
+// bytesLen is the encoded size of an n-byte string or byte slice.
+func bytesLen(n int) int64 { return uvarintLen(uint64(n)) + int64(n) }
+
+// subTreeSize is len(AppendSubTree(nil, t)).
+func subTreeSize(t *SubTree) int64 {
+	switch {
+	case t == nil:
+		return 1
+	case t.Kind == KindFile:
+		return 1 + bytesLen(len(t.Data))
+	}
+	size := 1 + uvarintLen(uint64(len(t.Children)))
+	for name, c := range t.Children {
+		size += bytesLen(len(name)) + subTreeSize(c)
+	}
+	return size
+}
+
 // DecodeArgs decodes one Args from b and returns the remaining bytes.
 func DecodeArgs(b []byte) (Args, []byte, error) {
 	var a Args

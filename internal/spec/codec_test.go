@@ -138,6 +138,9 @@ func TestArgsRoundTrip(t *testing.T) {
 	}
 	for i, a := range cases {
 		enc := AppendArgs(nil, a)
+		if n := ArgsSize(a); n != int64(len(enc)) {
+			t.Fatalf("case %d: ArgsSize = %d, encoding is %d bytes", i, n, len(enc))
+		}
 		dec, rest, err := DecodeArgs(enc)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)

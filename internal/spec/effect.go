@@ -75,20 +75,22 @@ func (e Effect) undo(fs *AFS) {
 		if p == nil || p.Links[e.Name] != e.Ino {
 			panic(fmt.Sprintf("rollback: cannot undo %s", e))
 		}
-		delete(p.Links, e.Name)
+		delete(fs.own(e.Parent, p).Links, e.Name)
 	case EffDel:
 		p := fs.Imap[e.Parent]
 		if p == nil {
 			panic(fmt.Sprintf("rollback: cannot undo %s", e))
 		}
-		p.Links[e.Name] = e.Ino
+		fs.own(e.Parent, p).Links[e.Name] = e.Ino
 	case EffCreat:
 		if _, ok := fs.Imap[e.Ino]; !ok {
 			panic(fmt.Sprintf("rollback: cannot undo %s", e))
 		}
 		delete(fs.Imap, e.Ino)
 	case EffFree:
-		fs.Imap[e.Ino] = e.Node.Clone()
+		n := e.Node.Clone()
+		n.gen = fs.gen
+		fs.Imap[e.Ino] = n
 	case EffWrite:
 		n := fs.Imap[e.Ino]
 		if n == nil || n.Kind != KindFile {
@@ -99,13 +101,13 @@ func (e Effect) undo(fs *AFS) {
 			data = data[:e.OldSize]
 		}
 		copy(data[min(e.Off, int64(len(data))):], e.OldData)
-		n.Data = data
+		fs.own(e.Ino, n).Data = data
 	case EffTrunc:
 		n := fs.Imap[e.Ino]
 		if n == nil || n.Kind != KindFile {
 			panic(fmt.Sprintf("rollback: cannot undo %s", e))
 		}
-		n.Data = append([]byte(nil), e.OldData...)
+		fs.own(e.Ino, n).Data = append([]byte(nil), e.OldData...)
 	default:
 		panic(fmt.Sprintf("rollback: unknown effect %s", e))
 	}

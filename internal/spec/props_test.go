@@ -199,3 +199,100 @@ func TestWriteAtSizeBoundary(t *testing.T) {
 }
 
 func wantErrIs(err, sentinel error) bool { return err != nil && err.Error() == sentinel.Error() }
+
+// snapshotOp extends randomOp with the cross-volume halves, so the
+// copy-on-write property covers detach and attach beside rename and
+// truncate.
+func snapshotOp(r *rand.Rand) (Op, Args) {
+	switch r.Intn(10) {
+	case 0:
+		_, args := randomOp(r)
+		return OpDetach, Args{Path: args.Path}
+	case 1:
+		_, args := randomOp(r)
+		sub := &SubTree{Kind: KindDir, Children: map[string]*SubTree{
+			"x": {Kind: KindFile, Data: []byte("carried")},
+			"y": {Kind: KindDir, Children: map[string]*SubTree{}},
+		}}
+		if r.Intn(2) == 0 {
+			sub = &SubTree{Kind: KindFile, Data: []byte("file payload")}
+		}
+		return OpAttach, Args{Path: args.Path, Sub: sub}
+	default:
+		return randomOp(r)
+	}
+}
+
+// TestPropertySnapshotFrozen: after Snapshot, no Aop on the live state
+// and no roll-back of one — applied before or after the snapshot —
+// changes the view's Key, and the live state evolves exactly as an
+// unshared copy of it does. Rounds reuse one index map, as the journal's
+// checkpointer does.
+func TestPropertySnapshotFrozen(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		fs, ref := New(), New()
+		index := map[Inum]*ANode{}
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 30; i++ {
+				op, args := snapshotOp(r)
+				fs.Apply(op, args)
+				ref.Apply(op, args)
+			}
+			// An op applied before the snapshot and rolled back after it
+			// must copy what the snapshot shares, as the op's own
+			// forward mutations did not.
+			var pending []Effect
+			beforePending := fs.Key()
+			for tries := 0; pending == nil && tries < 20; tries++ {
+				op, args := snapshotOp(r)
+				if ret, effs := fs.Apply(op, args); ret.Err == nil {
+					pending = effs
+				}
+			}
+			view := fs.Snapshot(index)
+			frozen := view.Key()
+			for j := len(pending) - 1; j >= 0; j-- {
+				pending[j].undo(fs)
+			}
+			if view.Key() != frozen || (pending != nil && fs.Key() != beforePending) {
+				t.Logf("seed %d: undo across a snapshot", seed)
+				return false
+			}
+			ref = fs.Clone()
+			for i := 0; i < 40; i++ {
+				op, args := snapshotOp(r)
+				before := fs.Key()
+				ret, effs := fs.Apply(op, args)
+				rret, _ := ref.Apply(op, args)
+				if !ret.Equal(rret) || fs.Key() != ref.Key() {
+					t.Logf("seed %d: %s %s diverges from the unshared state", seed, op, args)
+					return false
+				}
+				if view.Key() != frozen {
+					t.Logf("seed %d: %s %s changed the snapshot", seed, op, args)
+					return false
+				}
+				if ret.Err == nil && r.Intn(4) == 0 {
+					for j := len(effs) - 1; j >= 0; j-- {
+						effs[j].undo(fs)
+					}
+					if fs.Key() != before || view.Key() != frozen {
+						t.Logf("seed %d: undo of %s %s under a snapshot", seed, op, args)
+						return false
+					}
+					ref = fs.Clone()
+				}
+				if err := fs.GoodAFS(); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+			}
+			fs.Unshare()
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}

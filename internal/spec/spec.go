@@ -56,6 +56,10 @@ type ANode struct {
 	Kind  Kind
 	Links map[string]Inum // directories
 	Data  []byte          // files
+	// gen is the generation of the AFS that made the node: a node older
+	// than the live snapshot is shared with it and copied before it
+	// changes (see Snapshot).
+	gen uint64
 }
 
 // Clone deep-copies the node.
@@ -117,6 +121,10 @@ type AFS struct {
 	Imap map[Inum]*ANode
 	Root Inum
 	next Inum // next inode number to allocate
+	// gen counts the snapshots taken; shared is the generation of the
+	// live one (0 = none), so a node with gen < shared is shared with it.
+	gen    uint64
+	shared uint64
 }
 
 // New creates an AFS containing only an empty root directory.
@@ -141,12 +149,48 @@ func (fs *AFS) Clone() *AFS {
 func (fs *AFS) alloc(kind Kind) Inum {
 	ino := fs.next
 	fs.next++
-	n := &ANode{Kind: kind}
+	n := &ANode{Kind: kind, gen: fs.gen}
 	if kind == KindDir {
 		n.Links = map[string]Inum{}
 	}
 	fs.Imap[ino] = n
 	return ino
+}
+
+// Snapshot freezes the state into a read-only view and starts a
+// copy-on-write period: until Unshare, every change fs makes to a node
+// the view shares goes to a private copy, so the view keeps the state of
+// the instant of the call while fs moves on. The view's inode map is
+// index, cleared and refilled (nil allocates one), so a caller that
+// snapshots repeatedly reuses one map. A snapshot costs one map copy;
+// outside a copy-on-write period a mutation pays one compare for it.
+func (fs *AFS) Snapshot(index map[Inum]*ANode) *AFS {
+	if index == nil {
+		index = make(map[Inum]*ANode, len(fs.Imap))
+	}
+	clear(index)
+	for ino, n := range fs.Imap {
+		index[ino] = n
+	}
+	fs.gen++
+	fs.shared = fs.gen
+	return &AFS{Imap: index, Root: fs.Root, next: fs.next}
+}
+
+// Unshare ends the copy-on-write period of the last Snapshot: the view
+// must no longer be read, and fs changes its nodes in place again.
+func (fs *AFS) Unshare() { fs.shared = 0 }
+
+// own returns n, the node of inode ino, ready to change in place: a node
+// the live snapshot shares is first replaced in Imap by a private copy.
+func (fs *AFS) own(ino Inum, n *ANode) *ANode {
+	if n.gen >= fs.shared {
+		return n
+	}
+	c := n.Clone()
+	c.gen = fs.gen
+	fs.Imap[ino] = c
+	return c
 }
 
 // Resolve walks parts from the root and returns the reached inode number.

@@ -110,11 +110,13 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 
 	parked := make(chan struct{})
 	release := make(chan struct{})
+	held := newHoldings()
 	// A and B may share an op kind (the rename+rename pair), so the
 	// counter needs a lock; parking blocks outside it.
 	var hookMu sync.Mutex
 	seen := 0
 	fs.SetHook(func(ev atomfs.HookEvent) {
+		held.observe(ev)
 		if ev.Op != p.B.Op {
 			return
 		}
@@ -129,7 +131,11 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	})
 
 	bDone := make(chan error, 1)
-	go func() { bDone <- p.B.Run(fs) }()
+	go func() {
+		err := p.B.Run(fs)
+		close(held.bFinished)
+		bDone <- err
+	}()
 	select {
 	case <-parked:
 	case err := <-bDone:
@@ -145,16 +151,22 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	overlapped := true
 	select {
 	case <-aDone:
-	case <-time.After(50 * time.Millisecond):
-		// A is blocked behind B's parked locks; no overlap is possible at
-		// this point. Release B and let both finish.
+	case <-held.blocked:
+		// A is about to wait on a lock parked B holds; no overlap is
+		// possible at this point. A stays in its hook while B is released
+		// and runs to completion, so the schedule is B then A.
 		overlapped = false
+	case <-time.After(10 * time.Second):
+		close(release)
+		return false, false, fmt.Errorf("point %d: A neither finished nor waited on B", k)
 	}
 	close(release)
-	<-bDone
-	if overlapped {
-		// A already completed.
-	} else {
+	select {
+	case <-bDone:
+	case <-time.After(10 * time.Second):
+		return overlapped, false, fmt.Errorf("point %d: released B never finished", k)
+	}
+	if !overlapped {
 		<-aDone
 	}
 	fs.SetHook(nil)
@@ -180,6 +192,73 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 		}
 	}
 	return overlapped, helped, nil
+}
+
+// holdings follows, from hook events alone, what the interrupted
+// operation B holds — inode locks, coupled or fast-path, and the
+// seqlock write section. When the interrupting operation announces an
+// acquisition of one of them, it closes blocked and holds that operation
+// in its hook until B has finished (bFinished). B runs alone until it
+// parks, so the first event names its tid.
+type holdings struct {
+	mu        sync.Mutex
+	b         uint64 // B's tid; 0 until its first event
+	inodes    map[spec.Inum]int
+	seq       bool
+	pending   atomfs.HookEvent // B's announced acquisition, held from its next event
+	blocked   chan struct{}
+	closed    bool
+	bFinished chan struct{}
+}
+
+func newHoldings() *holdings {
+	return &holdings{inodes: map[spec.Inum]int{}, blocked: make(chan struct{}), bFinished: make(chan struct{})}
+}
+
+func (h *holdings) observe(ev atomfs.HookEvent) {
+	h.mu.Lock()
+	if h.b == 0 {
+		h.b = ev.Tid
+	}
+	if ev.Tid != h.b {
+		wait := false
+		switch ev.Point {
+		case atomfs.HookLockAttempt, atomfs.HookFastLock:
+			wait = h.inodes[ev.Ino] > 0
+		case atomfs.HookSeqAttempt:
+			wait = h.seq
+		}
+		if wait && !h.closed {
+			h.closed = true
+			close(h.blocked)
+		}
+		h.mu.Unlock()
+		if wait {
+			<-h.bFinished
+		}
+		return
+	}
+	defer h.mu.Unlock()
+	// An announced acquisition has completed once B fires again.
+	switch h.pending.Point {
+	case atomfs.HookFastLock:
+		h.inodes[h.pending.Ino]++
+	case atomfs.HookSeqAttempt:
+		h.seq = true
+	}
+	h.pending = atomfs.HookEvent{}
+	switch ev.Point {
+	case atomfs.HookLocked:
+		h.inodes[ev.Ino]++
+	case atomfs.HookUnlocked, atomfs.HookFastUnlock:
+		if h.inodes[ev.Ino]--; h.inodes[ev.Ino] <= 0 {
+			delete(h.inodes, ev.Ino)
+		}
+	case atomfs.HookSeqRelease:
+		h.seq = false
+	case atomfs.HookFastLock, atomfs.HookSeqAttempt:
+		h.pending = ev
+	}
 }
 
 // Run sweeps one pair over every instrumentation point.

@@ -53,3 +53,29 @@ func BenchmarkAppendWait(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCheckpointCut is the part of a checkpoint an Append pays under
+// the append mutex — copy-on-write snapshot, size pass, reservation
+// write — on BenchmarkCheckpoint4MiB's state. The seal runs off the timer.
+func BenchmarkCheckpointCut(b *testing.B) {
+	l := NewLog(newBigDev(64<<20), Config{})
+	fillState(b, l, 1024, 4096)
+	if err := l.CheckpointNow(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.mu.Lock()
+		err := l.cutLocked()
+		l.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := l.Settle(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -49,8 +50,12 @@ var ErrCrashed = errors.New("wal: device crashed")
 // mid-record torn appends, a crash after an append but before its
 // commit flush, and a crash inside a checkpoint or superblock write.
 type Device struct {
-	mu    sync.Mutex
-	store *block.Store
+	mu sync.Mutex
+	// waiting counts appenders and flushers on their way into mu: the
+	// checkpointer, which releases mu after every block, yields the CPU
+	// only when one of them would otherwise wait behind its next block.
+	waiting atomic.Int32
+	store   *block.Store
 	// blkmap maps logical block numbers to store blocks; an absent key
 	// means not materialized. A map, not a slice indexed by block number:
 	// the logical space only ever grows, and the table must cost what is
@@ -134,7 +139,7 @@ func (d *Device) Syncs() int64 {
 // point the write may be torn: the surviving prefix is persisted and
 // ErrCrashed returned.
 func (d *Device) WriteAt(off int64, p []byte) error {
-	d.mu.Lock()
+	d.lockWaiting()
 	defer d.mu.Unlock()
 	if d.crashed {
 		return ErrCrashed
@@ -198,6 +203,13 @@ func (d *Device) materialize(lb int64) (block.Index, error) {
 func (d *Device) ReadAt(off int64, p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.readLocked(off, p)
+	return nil
+}
+
+// readLocked is ReadAt with d.mu held: a sequence of them under one hold
+// reads one instant of the device.
+func (d *Device) readLocked(off int64, p []byte) {
 	for len(p) > 0 {
 		lb := off / block.Size
 		bo := int(off % block.Size)
@@ -213,14 +225,13 @@ func (d *Device) ReadAt(off int64, p []byte) error {
 		p = p[n:]
 		off += int64(n)
 	}
-	return nil
 }
 
 // Sync flushes pending writes (simulated: sleeps syncDelay) and fails if
 // the device crashed — an acknowledged flush is the durability promise
 // group commit hands to its tickets.
 func (d *Device) Sync() error {
-	d.mu.Lock()
+	d.lockWaiting()
 	if d.crashed {
 		d.mu.Unlock()
 		return ErrCrashed
@@ -257,6 +268,16 @@ func (d *Device) TruncateRange(lo, hi int64) int {
 	}
 	return freed
 }
+
+// lockWaiting takes mu, counted in waiting while it does.
+func (d *Device) lockWaiting() {
+	d.waiting.Add(1)
+	d.mu.Lock()
+	d.waiting.Add(-1)
+}
+
+// contended reports whether a writer or flusher is waiting for the device.
+func (d *Device) contended() bool { return d.waiting.Load() > 0 }
 
 // extent returns the end of the logical space ever written: every offset
 // at or past it reads as zero.

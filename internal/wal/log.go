@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -19,9 +20,11 @@ import (
 //
 //	[0,      4096)  superblock slot A
 //	[4096,   8192)  superblock slot B
-//	[8192,   ...)   append stream: records and checkpoint blobs
+//	[8192,   ...)   append stream: records, and reservations each followed
+//	                by the checkpoint blob it reserves
 //
 //	Record:      0xA7 | op u8 | seq u64 | plen u32 | payload | crc u32
+//	Reservation: 0xB7 | seq u64 | blobLen u64 | crc u32
 //	Checkpoint:  0xC7 | seq u64 | plen u32 | payload | crc u32
 //	Superblock:  "AWALSB1\0" | version u64 | ckptOff u64 | ckptLen u64 |
 //	             ckptSeq u64 | logStart u64 | crc u32
@@ -33,6 +36,12 @@ import (
 // slot with the larger version: a crash mid-superblock leaves the other
 // slot intact, so there is always a consistent (checkpoint, logStart)
 // pair to recover from.
+//
+// A checkpoint is cut in the append stream and sealed beside it: the cut
+// writes a reservation for the blob's blobLen bytes and later records go
+// past them, while the seal fills the extent and then flips the
+// superblock. A replay scan that meets a reservation for the seq it has
+// reached skips the extent, sealed or not, and reads on.
 const (
 	sbSlotSize = 4096
 	logBase    = 2 * sbSlotSize
@@ -43,10 +52,18 @@ const (
 	recHdrSize  = 1 + 1 + 8 + 4 // magic, op, seq, plen
 	ckptHdrSize = 1 + 8 + 4     // magic, seq, plen
 	crcSize     = 4
+	resSize     = 1 + 8 + 8 + crcSize // magic, seq, blobLen, crc
 
-	// ckptChunk is the checkpoint encoder's write unit: a blob streams to
-	// the device through one buffer of this size, so a checkpoint's
-	// transient memory is the chunk, not the state.
+	resMagic = 0xB7
+
+	// truncBatch bounds the blocks one TruncateRange call of the
+	// checkpointer frees, so the device lock is never held for a whole
+	// superseded prefix.
+	truncBatch = 64
+
+	// ckptChunk is the checkpoint encoder's buffer: a blob streams to the
+	// device through one buffer of this size, so a checkpoint's transient
+	// memory is the chunk, not the state. It leaves in block-sized writes.
 	ckptChunk = 64 << 10
 
 	// ckptLogRatio is the size half of the checkpoint cadence: the log
@@ -54,7 +71,7 @@ const (
 	// bytes before the state is serialised again. It fixes three bounds at
 	// once (DESIGN.md §14): journal bytes per logged byte <= 1 +
 	// ckptLogRatio, replay tail <= state/ckptLogRatio, device footprint <=
-	// (2 + 1/ckptLogRatio) x state.
+	// (2 + 1/ckptLogRatio) x state + CheckpointEvery records.
 	ckptLogRatio = 4
 )
 
@@ -80,11 +97,13 @@ type Config struct {
 // internal mutex (callers append inside their own critical sections, so
 // conflicting operations are already ordered; the mutex orders the
 // commutative rest); durability waits ride the group-commit batcher.
+// Checkpoints are encoded and sealed by a goroutine of their own, at most
+// one at a time, which exits when its seal is done.
 type Log struct {
 	dev *Device
 	cfg Config
 
-	mu  sync.Mutex // append/checkpoint section
+	mu  sync.Mutex // append section and checkpoint cuts
 	end int64      // next append offset
 	// seq is the seq of the last record written to the device. Stored
 	// under mu, only after the record's WriteAt returned; loaded without
@@ -98,24 +117,35 @@ type Log struct {
 	// divergence check: a record whose Aop fails against the shadow can
 	// never have succeeded concretely in that order.
 	shadow *spec.AFS
-	// sinceCkpt counts records since the last checkpoint, whose blob was
-	// ckptLen bytes and ended at logStart (both 0 before the first one);
-	// version is the next superblock version to write. Everything in
-	// [logBase, reclaimed) has gone back to the store, so a checkpoint
-	// truncates from there and its cost does not grow with the log's age.
+	// sinceCkpt counts records since the last cut, whose blob is ckptLen
+	// bytes and ends at logStart (0 and logBase before the first one).
 	sinceCkpt int
 	ckptLen   int64
 	logStart  int64
+	// seal is the checkpoint cut and not yet reaped (nil when none); its
+	// snapshot shares the shadow's nodes until then. snapIndex is the
+	// snapshot's inode map, refilled at every cut.
+	seal      *seal
+	snapIndex map[spec.Inum]*spec.ANode
+
+	// Owned by the checkpointer. Only one seal runs at a time and the
+	// next cut waits for it, so these pass from seal to seal without a
+	// lock. version is the last superblock version written; everything in
+	// [logBase, reclaimed) has gone back to the store, so a seal truncates
+	// from there and its cost does not grow with the log's age; ckptBuf
+	// is the encoder's chunk, allocated by the first seal and reused.
 	version   uint64
 	reclaimed int64
-	// ckptBuf is the checkpoint encoder's chunk, allocated by the first
-	// checkpoint and reused by every later one.
-	ckptBuf []byte
+	ckptBuf   []byte
+	// yield runs between the blob's block writes: it gives the CPU to a
+	// writer waiting for the device (yieldToWriters), or in tests it is a
+	// step that appends records while the seal is parked.
+	yield func()
 
 	// Group commit: committers park on cond; one becomes the leader,
 	// flushes the device once, and publishes durableSeq for the batch.
-	// Wait never takes mu; Append and checkpoints take cmu inside mu,
-	// which is why broken lives here and not under mu.
+	// Wait never takes mu; Append takes cmu inside mu and the
+	// checkpointer takes it without mu, which is why broken lives here.
 	cmu        sync.Mutex
 	cond       *sync.Cond
 	flushing   bool
@@ -131,6 +161,21 @@ type Log struct {
 	hBatch   *obs.Histogram
 }
 
+// seal is one checkpoint between its cut and its reaping: a frozen
+// snapshot of the shadow at seq, to be encoded into the blobLen bytes at
+// blobOff that the reservation at resOff holds for it. done closes when
+// the checkpointer is finished, with err its outcome.
+type seal struct {
+	snap    *spec.AFS
+	seq     uint64
+	plen    int64
+	resOff  int64
+	blobOff int64
+	blobLen int64
+	done    chan struct{}
+	err     error
+}
+
 // NewLog formats a fresh journal on dev (any prior contents are ignored;
 // use Recover to read them first).
 func NewLog(dev *Device, cfg Config) *Log {
@@ -141,7 +186,9 @@ func NewLog(dev *Device, cfg Config) *Log {
 		logStart:  logBase,
 		reclaimed: logBase,
 		shadow:    spec.New(),
+		snapIndex: map[spec.Inum]*spec.ANode{},
 	}
+	l.yield = l.yieldToWriters
 	l.cond = sync.NewCond(&l.cmu)
 	reg := cfg.Obs
 	if reg == nil {
@@ -174,6 +221,13 @@ type Ticket struct {
 func (l *Log) Append(op spec.Op, args spec.Args) (Ticket, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Reap a finished seal. While one is in flight, at most
+	// CheckpointEvery records may land past its reservation: the next
+	// append waits for it. A seal's error is the log's as well, which
+	// Broken returns below.
+	if s := l.seal; s != nil && (s.sealed() || l.sinceCkpt >= l.cfg.CheckpointEvery) {
+		_ = l.settleLocked()
+	}
 	if err := l.Broken(); err != nil {
 		return Ticket{}, err
 	}
@@ -207,7 +261,7 @@ func (l *Log) Append(op spec.Op, args spec.Args) (Ticket, error) {
 	}
 	if l.cfg.CheckpointEvery > 0 && l.sinceCkpt >= l.cfg.CheckpointEvery &&
 		(l.end-l.logStart)*ckptLogRatio >= l.ckptLen {
-		if err := l.checkpointLocked(); err != nil {
+		if err := l.cutLocked(); err != nil {
 			l.fail(err)
 			return Ticket{}, err
 		}
@@ -290,102 +344,207 @@ func (t Ticket) Wait() error {
 	}
 }
 
-// CheckpointNow takes a snapshot checkpoint immediately.
+// CheckpointNow cuts a checkpoint and waits for its seal, returning the
+// seal's error.
 func (l *Log) CheckpointNow() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.Broken(); err != nil {
-		return err
+	err := l.Broken()
+	if err == nil {
+		err = l.cutLocked()
 	}
-	if err := l.checkpointLocked(); err != nil {
+	s := l.seal
+	l.mu.Unlock()
+	if err != nil {
 		l.fail(err)
 		return err
 	}
+	<-s.done
+	return s.err
+}
+
+// Settle waits until no checkpoint is in flight and returns the error of
+// the seal it waited for, if any. A caller that needs the device's write
+// stream to be a function of its own calls — the crash fuzzer — settles
+// after each one.
+func (l *Log) Settle() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.settleLocked()
+}
+
+// settleLocked waits for the in-flight seal, if any, and retires it: its
+// snapshot is no longer read, so the shadow stops copying on write. It
+// returns the seal's error. Called with l.mu held.
+func (l *Log) settleLocked() error {
+	s := l.seal
+	if s == nil {
+		return nil
+	}
+	<-s.done
+	l.seal = nil
+	l.shadow.Unshare()
+	return s.err
+}
+
+// sealed reports whether the checkpointer is done with s.
+func (s *seal) sealed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// cutLocked is the append-side half of a checkpoint: after the in-flight
+// seal, if any, it snapshots the shadow copy-on-write, sizes the blob,
+// writes the reservation that holds the blob's extent at l.end, moves
+// l.end past the extent, and hands the snapshot to a checkpointer
+// goroutine (sealCheckpoint). Called with l.mu held. It encodes nothing:
+// its cost is one map copy, one size walk and one small write.
+func (l *Log) cutLocked() error {
+	if err := l.settleLocked(); err != nil {
+		return err
+	}
+	seq := l.seq.Load()
+	snap := l.shadow.Snapshot(l.snapIndex)
+	plen := snap.EncodedTreeSize(snap.Root)
+	if plen > math.MaxUint32 {
+		l.shadow.Unshare()
+		return fmt.Errorf("wal: checkpoint payload of %d bytes does not fit the frame's 32-bit length", plen)
+	}
+	s := &seal{
+		snap:    snap,
+		seq:     seq,
+		plen:    plen,
+		resOff:  l.end,
+		blobOff: l.end + resSize,
+		blobLen: ckptHdrSize + plen + crcSize,
+		done:    make(chan struct{}),
+	}
+	var res [resSize]byte
+	res[0] = resMagic
+	binary.LittleEndian.PutUint64(res[1:], seq)
+	binary.LittleEndian.PutUint64(res[9:], uint64(s.blobLen))
+	binary.LittleEndian.PutUint32(res[17:], crc32.ChecksumIEEE(res[:17]))
+	if err := l.dev.WriteAt(s.resOff, res[:]); err != nil {
+		l.shadow.Unshare()
+		return err
+	}
+	l.end = s.blobOff + s.blobLen
+	l.sinceCkpt = 0
+	l.ckptLen, l.logStart = s.blobLen, l.end
+	l.seal = s
+	l.cCkpts.Inc(0)
+	go l.sealCheckpoint(s)
 	return nil
 }
 
-// checkpointLocked writes the shadow snapshot into the append stream,
-// seals it with a superblock flip, and physically truncates the log
-// prefix it supersedes. Called with l.mu held.
+// sealCheckpoint runs on the checkpointer goroutine: it fills the
+// reserved extent, flips the superblock, truncates the prefix the new
+// checkpoint supersedes, and exits. A device error latches the log's
+// sticky error, which the next Append or Wait returns.
+func (l *Log) sealCheckpoint(s *seal) {
+	s.err = l.writeCheckpoint(s)
+	if s.err != nil {
+		l.fail(s.err)
+	}
+	clear(s.snap.Imap) // the map is reused; its references would pin superseded nodes
+	close(s.done)
+}
+
+// writeCheckpoint streams s's snapshot into its reserved extent, seals it
+// with a superblock flip, and truncates the log prefix it supersedes.
 //
-// The blob is streamed: spec.EncodeTree walks the shadow in place and
+// The blob is streamed: spec.EncodeTree walks the frozen snapshot and
 // the bytes pass through one chunk buffer, checksummed and written a
-// chunk at a time, so a checkpoint copies the state once (into the
-// device) and allocates nothing that grows with it.
+// block at a time with a yield between blocks, so a checkpoint copies the
+// state once (into the device), allocates nothing that grows with it,
+// and holds the device lock for one block at most while records append
+// past the extent.
 //
 // Crash safety: the blob is written and synced BEFORE the superblock
 // that points at it, and the superblock goes to the slot the current
 // generation is not using. A crash anywhere in between leaves the old
-// superblock pointing at the old checkpoint and old logStart — and the
-// bytes of the half-written new blob sit past the old log's records,
-// where the replay scan stops at the first non-record byte.
-func (l *Log) checkpointLocked() error {
-	seq := l.seq.Load()
-	plen := l.shadow.EncodedTreeSize(l.shadow.Root)
-	if plen > math.MaxUint32 {
-		return fmt.Errorf("wal: checkpoint payload of %d bytes does not fit the frame's 32-bit length", plen)
-	}
+// superblock pointing at the old checkpoint and old logStart, and the
+// replay scan from there crosses the reservation — skipping the
+// half-written blob — to the records appended after the cut.
+func (l *Log) writeCheckpoint(s *seal) error {
 	if l.ckptBuf == nil {
 		l.ckptBuf = make([]byte, 0, ckptChunk)
 	}
-	ckptOff := l.end
-	w := chunkWriter{dev: l.dev, off: ckptOff, buf: l.ckptBuf[:0]}
+	w := chunkWriter{dev: l.dev, off: s.blobOff, buf: l.ckptBuf[:0], yield: l.yield}
 	var hdr [ckptHdrSize]byte
 	hdr[0] = ckptMagic
-	binary.LittleEndian.PutUint64(hdr[1:], seq)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(plen))
+	binary.LittleEndian.PutUint64(hdr[1:], s.seq)
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(s.plen))
 	w.write(hdr[:])
-	l.shadow.EncodeTree(l.shadow.Root, w.write)
+	s.snap.EncodeTree(s.snap.Root, w.write)
 	if err := w.finish(); err != nil {
 		return err
 	}
+	if w.off != s.blobOff+s.blobLen {
+		return fmt.Errorf("wal: checkpoint at seq %d encoded %d bytes into a %d-byte reservation",
+			s.seq, w.off-s.blobOff, s.blobLen)
+	}
 	if err := l.dev.Sync(); err != nil {
 		return err
 	}
-	l.end = w.off
-	blobLen := l.end - ckptOff
 
 	l.version++
-	sb := make([]byte, 0, len(sbMagic)+5*8+crcSize)
-	sb = append(sb, sbMagic[:]...)
-	sb = binary.LittleEndian.AppendUint64(sb, l.version)
-	sb = binary.LittleEndian.AppendUint64(sb, uint64(ckptOff))
-	sb = binary.LittleEndian.AppendUint64(sb, uint64(blobLen))
-	sb = binary.LittleEndian.AppendUint64(sb, seq)
-	sb = binary.LittleEndian.AppendUint64(sb, uint64(l.end))
-	sb = binary.LittleEndian.AppendUint32(sb, crc32.ChecksumIEEE(sb))
+	var sb [len(sbMagic) + 5*8 + crcSize]byte
+	copy(sb[:], sbMagic[:])
+	f := sb[len(sbMagic):]
+	binary.LittleEndian.PutUint64(f[0:], l.version)
+	binary.LittleEndian.PutUint64(f[8:], uint64(s.blobOff))
+	binary.LittleEndian.PutUint64(f[16:], uint64(s.blobLen))
+	binary.LittleEndian.PutUint64(f[24:], s.seq)
+	binary.LittleEndian.PutUint64(f[32:], uint64(s.blobOff+s.blobLen))
+	binary.LittleEndian.PutUint32(f[40:], crc32.ChecksumIEEE(sb[:len(sb)-crcSize]))
 	slot := int64(l.version%2) * sbSlotSize
-	if err := l.dev.WriteAt(slot, sb); err != nil {
+	if err := l.dev.WriteAt(slot, sb[:]); err != nil {
 		return err
 	}
 	if err := l.dev.Sync(); err != nil {
 		return err
 	}
-	// The checkpoint seals every record before it; their storage — and
-	// the previous checkpoint's — is reclaimable. The superblock slots
-	// below logBase are never truncated.
-	l.cTruncBl.Add(0, uint64(l.dev.TruncateRange(l.reclaimed, ckptOff)))
-	l.reclaimed = ckptOff &^ (block.Size - 1) // the block ckptOff is in stays mapped
-	l.sinceCkpt = 0
-	l.ckptLen, l.logStart = blobLen, l.end
-	l.cCkpts.Inc(0)
 	// A checkpoint makes everything up to its cut durable.
-	l.setDurable(seq)
+	l.setDurable(s.seq)
+	// The checkpoint seals every record before its reservation; their
+	// storage — and the previous checkpoint's — is reclaimable, a batch
+	// of blocks at a time. The superblock slots below logBase are never
+	// truncated, and the block the reservation starts in stays mapped.
+	for lo := l.reclaimed; lo < s.resOff; lo += truncBatch * block.Size {
+		l.cTruncBl.Add(0, uint64(l.dev.TruncateRange(lo, min(lo+truncBatch*block.Size, s.resOff))))
+		runtime.Gosched()
+	}
+	l.reclaimed = s.resOff &^ (block.Size - 1)
 	return nil
 }
 
+// yieldToWriters lets a record append or a flush that is waiting for the
+// device run before the checkpointer's next block. A yield per block
+// regardless costs the seal a scheduler round trip per 4 KiB, which
+// stretches it and makes appends meet the back-pressure more often.
+func (l *Log) yieldToWriters() {
+	if l.dev.contended() {
+		runtime.Gosched()
+	}
+}
+
 // chunkWriter frames a streamed structure onto the device: bytes gather
-// in buf and go out one full chunk per WriteAt, the running IEEE CRC-32
-// folded over each chunk as it leaves; finish appends the checksum of
-// everything written and flushes the rest. The first device error sticks
-// and turns later writes into no-ops, so an encoder walk needs no abort
-// path.
+// in buf and go out once it is full, the running IEEE CRC-32 folded over
+// each chunk as it leaves, in one WriteAt per device block and a yield
+// between blocks; finish appends the checksum of everything written and
+// flushes the rest. The first device error sticks and turns later writes
+// into no-ops, so an encoder walk needs no abort path.
 type chunkWriter struct {
-	dev *Device
-	off int64 // device offset of buf[0]
-	buf []byte
-	crc uint32
-	err error
+	dev   *Device
+	off   int64 // device offset of buf[0]
+	buf   []byte
+	crc   uint32
+	err   error
+	yield func()
 }
 
 func (w *chunkWriter) write(p []byte) {
@@ -401,10 +560,15 @@ func (w *chunkWriter) write(p []byte) {
 
 func (w *chunkWriter) flush() {
 	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf)
-	if w.err = w.dev.WriteAt(w.off, w.buf); w.err == nil {
-		w.off += int64(len(w.buf))
-		w.buf = w.buf[:0]
+	for p := w.buf; len(p) > 0 && w.err == nil; {
+		n := min(int64(len(p)), block.Size-w.off%block.Size)
+		if w.err = w.dev.WriteAt(w.off, p[:n]); w.err == nil {
+			w.off += n
+			p = p[n:]
+			w.yield()
+		}
 	}
+	w.buf = w.buf[:0]
 }
 
 func (w *chunkWriter) finish() error {
@@ -444,13 +608,13 @@ func (l *Log) ShadowKey() string {
 	return l.shadow.Key()
 }
 
+// encodeRecord frames one record in a single buffer sized up front:
+// header, arguments and checksum are encoded in place, one allocation.
 func encodeRecord(op spec.Op, seq uint64, args spec.Args) []byte {
-	payload := spec.AppendArgs(nil, args)
-	rec := make([]byte, 0, recHdrSize+len(payload)+crcSize)
-	rec = append(rec, recMagic, byte(op))
-	rec = binary.LittleEndian.AppendUint64(rec, seq)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	return rec
+	rec := make([]byte, recHdrSize, recHdrSize+spec.ArgsSize(args)+crcSize)
+	rec[0], rec[1] = recMagic, byte(op)
+	binary.LittleEndian.PutUint64(rec[2:], seq)
+	rec = spec.AppendArgs(rec, args)
+	binary.LittleEndian.PutUint32(rec[10:], uint32(len(rec)-recHdrSize))
+	return binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
 }

@@ -33,20 +33,72 @@ func (i RecoveryInfo) String() string {
 // Recover reads the device and rebuilds the abstract state: the newest
 // valid superblock selects a checkpoint, the checkpoint payload decodes
 // to the base tree, and the record tail from logStart replays on top.
-// The scan accepts records while magic, CRC, and seq continuity hold and
-// stops at the first violation — the committed-prefix semantics torn
-// writes get. The recovered state is checked for well-formedness
-// (GoodAFS) before being returned; reg (optional) receives the
-// wal_recoveries_total and wal_replayed_records_total counters.
+// The scan accepts records while magic, CRC, and seq continuity hold,
+// steps over the extent of a reservation for the seq it has reached (the
+// blob of a checkpoint cut there, sealed or not), and stops at the first
+// violation — the committed-prefix semantics torn writes get. The
+// recovered state is checked for well-formedness (GoodAFS) before being
+// returned; reg (optional) receives the wal_recoveries_total and
+// wal_replayed_records_total counters.
 //
 // Recover is read-only: it never writes the device and may run on a
-// crashed one.
+// crashed one, or beside a log still appending and sealing — it reads
+// the device under one hold of its lock, so it sees one instant of it,
+// and decodes after letting go.
 func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
-	var info RecoveryInfo
 	if reg != nil {
 		reg.Counter("wal_recoveries_total").Inc(0)
 	}
+	dev.mu.Lock()
+	img, err := readImage(dev)
+	dev.mu.Unlock()
+	info := img.info
+	if err != nil {
+		return nil, info, err
+	}
 
+	afs := spec.New()
+	if img.payload != nil {
+		if afs, err = decodeCheckpoint(img.payload); err != nil {
+			return nil, info, fmt.Errorf("wal: checkpoint of seq %d: %w", info.CkptSeq, err)
+		}
+	}
+	for i, r := range img.tail {
+		if ret, _ := afs.Apply(r.op, r.args); ret.Err != nil {
+			// Journal order is a linearization order, so a journaled Aop
+			// re-fails only if the log (or checkpoint) is corrupt in a way
+			// the checksums missed. Surface it; the crash fuzzer treats
+			// this as a finding.
+			return nil, info, fmt.Errorf("wal: replay of seq %d (%s %s) failed: %w",
+				info.CkptSeq+uint64(i)+1, r.op, r.args.String(), ret.Err)
+		}
+	}
+	if reg != nil {
+		reg.Counter("wal_replayed_records_total").Add(0, uint64(info.Replayed))
+	}
+	if err := afs.GoodAFS(); err != nil {
+		return nil, info, fmt.Errorf("wal: recovered state ill-formed: %w", err)
+	}
+	return afs, info, nil
+}
+
+// image is what Recover reads from one instant of the device: the
+// checkpoint payload the newest valid superblock vouches for (nil = none)
+// and the records that scan on after it.
+type image struct {
+	info    RecoveryInfo
+	payload []byte
+	tail    []tailRecord
+}
+
+type tailRecord struct {
+	op   spec.Op
+	args spec.Args
+}
+
+// readImage is Recover's device pass. Called with dev.mu held.
+func readImage(dev *Device) (image, error) {
+	var img image
 	// Pick the newest valid superblock of the two slots.
 	var (
 		best    []byte
@@ -54,9 +106,7 @@ func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
 	)
 	for slot := int64(0); slot < 2; slot++ {
 		sb := make([]byte, len(sbMagic)+5*8+crcSize)
-		if err := dev.ReadAt(slot*sbSlotSize, sb); err != nil {
-			return nil, info, err
-		}
+		dev.readLocked(slot*sbSlotSize, sb)
 		if string(sb[:len(sbMagic)]) != string(sbMagic[:]) {
 			continue
 		}
@@ -70,7 +120,6 @@ func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
 		}
 	}
 
-	afs := spec.New()
 	logStart := int64(logBase)
 	if best != nil {
 		f := best[len(sbMagic)+8:]
@@ -78,63 +127,52 @@ func Recover(dev *Device, reg *obs.Registry) (*spec.AFS, RecoveryInfo, error) {
 		ckptLen := int64(binary.LittleEndian.Uint64(f[8:16]))
 		ckptSeq := binary.LittleEndian.Uint64(f[16:24])
 		logStart = int64(binary.LittleEndian.Uint64(f[24:32]))
-		base, err := readCheckpoint(dev, ckptOff, ckptLen, ckptSeq)
+		payload, err := readCheckpoint(dev, ckptOff, ckptLen, ckptSeq)
 		if err != nil {
 			// A sealed superblock pointing at a bad checkpoint is real
 			// corruption, not a torn tail: fail recovery rather than
 			// silently dropping committed state.
-			return nil, info, fmt.Errorf("wal: checkpoint at %d (seq %d): %w", ckptOff, ckptSeq, err)
+			return img, fmt.Errorf("wal: checkpoint at %d (seq %d): %w", ckptOff, ckptSeq, err)
 		}
-		afs = base
-		info.SuperblockVersion = bestVer
-		info.CkptSeq = ckptSeq
-		info.LastSeq = ckptSeq
+		img.payload = payload
+		img.info.SuperblockVersion = bestVer
+		img.info.CkptSeq = ckptSeq
 	}
 
-	// Replay the tail.
+	// Scan the tail.
 	off := logStart
-	seq := info.LastSeq
+	seq := img.info.CkptSeq
 	for {
-		op, args, recLen, ok := readRecord(dev, off, seq+1)
-		if !ok {
-			break
+		if op, args, n, ok := readRecord(dev, off, seq+1); ok {
+			img.tail = append(img.tail, tailRecord{op, args})
+			seq++
+			off += n
+			continue
 		}
-		ret, _ := afs.Apply(op, args)
-		if ret.Err != nil {
-			// Journal order is a linearization order, so a journaled Aop
-			// re-fails only if the log (or checkpoint) is corrupt in a way
-			// the checksums missed. Surface it; the crash fuzzer treats
-			// this as a finding.
-			return nil, info, fmt.Errorf("wal: replay of seq %d (%s %s) failed: %w",
-				seq+1, op, args.String(), ret.Err)
+		if n, ok := readReservation(dev, off, seq); ok {
+			off += n
+			continue
 		}
-		seq++
-		off += recLen
-		info.Replayed++
+		break
 	}
-	info.LastSeq = seq
-	info.StopOffset = off
-	if reg != nil {
-		reg.Counter("wal_replayed_records_total").Add(0, uint64(info.Replayed))
-	}
-
-	if err := afs.GoodAFS(); err != nil {
-		return nil, info, fmt.Errorf("wal: recovered state ill-formed: %w", err)
-	}
-	return afs, info, nil
+	img.info.LastSeq = seq
+	img.info.Replayed = len(img.tail)
+	img.info.StopOffset = off
+	return img, nil
 }
 
-func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, error) {
+// readCheckpoint returns the payload of the checkpoint blob at off,
+// checked against the superblock's length and seq. Called with dev.mu
+// held.
+func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) ([]byte, error) {
 	// The length comes from a CRC-sealed superblock and is bounded by
 	// what the device holds: a state of any size that was written can be
 	// read back.
-	if ext := dev.extent(); length < ckptHdrSize+crcSize || off < logBase || length > ext-off {
+	if ext := dev.end; length < ckptHdrSize+crcSize || off < logBase || length > ext-off {
 		return nil, fmt.Errorf("implausible extent [%d, +%d) on a device of %d bytes", off, length, ext)
 	}
 	blob := make([]byte, length)
-	if err := dev.ReadAt(off, blob); err != nil {
-		return nil, err
-	}
+	dev.readLocked(off, blob)
 	if blob[0] != ckptMagic {
 		return nil, fmt.Errorf("bad magic %#x", blob[0])
 	}
@@ -150,7 +188,11 @@ func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, 
 	if ckptHdrSize+plen+crcSize != length {
 		return nil, fmt.Errorf("payload length %d inconsistent with blob length %d", plen, length)
 	}
-	sub, rest, err := spec.DecodeSubTree(blob[ckptHdrSize : ckptHdrSize+plen])
+	return blob[ckptHdrSize : ckptHdrSize+plen], nil
+}
+
+func decodeCheckpoint(payload []byte) (*spec.AFS, error) {
+	sub, rest, err := spec.DecodeSubTree(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -165,22 +207,21 @@ func readCheckpoint(dev *Device, off, length int64, wantSeq uint64) (*spec.AFS, 
 // payload length is bounded by the device's written extent, so garbage
 // cannot induce an allocation larger than the log itself, while a record
 // of any size that was written (a file.MaxSize Write, a large attach
-// subtree) scans back; the CRC rejects the rest.
+// subtree) scans back; the CRC rejects the rest. Called with dev.mu held.
 func readRecord(dev *Device, off int64, wantSeq uint64) (spec.Op, spec.Args, int64, bool) {
-	hdr := make([]byte, recHdrSize)
-	if dev.ReadAt(off, hdr) != nil || hdr[0] != recMagic {
+	var hdr [recHdrSize]byte
+	dev.readLocked(off, hdr[:])
+	if hdr[0] != recMagic {
 		return 0, spec.Args{}, 0, false
 	}
 	op := spec.Op(hdr[1])
 	seq := binary.LittleEndian.Uint64(hdr[2:10])
 	plen := int64(binary.LittleEndian.Uint32(hdr[10:14]))
-	if seq != wantSeq || recHdrSize+plen+crcSize > dev.extent()-off {
+	if seq != wantSeq || recHdrSize+plen+crcSize > dev.end-off {
 		return 0, spec.Args{}, 0, false
 	}
 	rec := make([]byte, recHdrSize+plen+crcSize)
-	if dev.ReadAt(off, rec) != nil {
-		return 0, spec.Args{}, 0, false
-	}
+	dev.readLocked(off, rec)
 	body := rec[:len(rec)-crcSize]
 	sum := binary.LittleEndian.Uint32(rec[len(rec)-crcSize:])
 	if crc32.ChecksumIEEE(body) != sum {
@@ -191,4 +232,26 @@ func readRecord(dev *Device, off int64, wantSeq uint64) (spec.Op, spec.Args, int
 		return 0, spec.Args{}, 0, false
 	}
 	return op, args, int64(len(rec)), true
+}
+
+// readReservation scans one reservation at off and returns how far the
+// scan skips — the reservation and the extent it holds — or ok=false for
+// anything but a whole, checksummed reservation cut at seq, the last seq
+// the scan accepted. Called with dev.mu held.
+//
+// A torn reservation stops the scan, and nothing past it is lost: under
+// the prefix crash model every later write is gone too. Records past a
+// whole one were appended after the cut, and the scan reads them whether
+// or not the reserved blob was ever sealed.
+func readReservation(dev *Device, off int64, seq uint64) (int64, bool) {
+	var res [resSize]byte
+	dev.readLocked(off, res[:])
+	if res[0] != resMagic || crc32.ChecksumIEEE(res[:resSize-crcSize]) != binary.LittleEndian.Uint32(res[resSize-crcSize:]) {
+		return 0, false
+	}
+	blobLen := int64(binary.LittleEndian.Uint64(res[9:17]))
+	if binary.LittleEndian.Uint64(res[1:9]) != seq || blobLen < 0 || blobLen > dev.end-off {
+		return 0, false
+	}
+	return resSize + blobLen, true
 }

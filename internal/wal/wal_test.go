@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/file"
+	"repro/internal/fserr"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -837,4 +838,313 @@ func TestCheckpointAllocatesChunkNotState(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > ckptChunk {
 		t.Fatalf("a checkpoint of %d bytes allocated %d, want <= one %d-byte chunk", l.ckptLen, per, ckptChunk)
 	}
+}
+
+// TestEncodeRecordAllocatesOnce: a record is framed in one buffer — the
+// arguments are encoded in place, never into a temporary and copied.
+func TestEncodeRecordAllocatesOnce(t *testing.T) {
+	args := spec.Args{Path: "/data/d00/f00", Off: 4096, Data: make([]byte, 1024)}
+	if n := testing.AllocsPerRun(200, func() { encodeRecord(spec.OpWrite, 7, args) }); n != 1 {
+		t.Fatalf("encodeRecord: %v allocations per record, want 1", n)
+	}
+	rec := encodeRecord(spec.OpWrite, 7, args)
+	if cap(rec) != len(rec) {
+		t.Fatalf("record buffer sized %d for %d bytes", cap(rec), len(rec))
+	}
+	dev := newDev(t)
+	if err := dev.WriteAt(logBase, rec); err != nil {
+		t.Fatal(err)
+	}
+	dev.mu.Lock()
+	op, got, n, ok := readRecord(dev, logBase, 7)
+	dev.mu.Unlock()
+	if !ok || op != spec.OpWrite || n != int64(len(rec)) || got.Path != args.Path || got.Off != args.Off || len(got.Data) != len(args.Data) {
+		t.Fatalf("record does not scan back: ok=%v op=%s n=%d args=%s", ok, op, n, got)
+	}
+}
+
+// sealStepper parks a checkpoint's seal after each blob block it writes
+// (the yield seam) until the test resumes it, so a test can append and
+// acknowledge records between blob blocks on a fixed schedule.
+type sealStepper struct {
+	parked chan struct{}
+	resume chan struct{}
+	free   chan struct{}
+}
+
+func stepSeals(l *Log) *sealStepper {
+	st := &sealStepper{parked: make(chan struct{}), resume: make(chan struct{}), free: make(chan struct{})}
+	l.yield = func() {
+		select {
+		case st.parked <- struct{}{}:
+			<-st.resume
+		case <-st.free:
+		}
+	}
+	return st
+}
+
+// release resumes the parked seal and lets it run to the end unparked.
+func (st *sealStepper) release() {
+	close(st.free)
+	st.resume <- struct{}{}
+}
+
+// cut takes a checkpoint cut the way an Append meeting the cadence does.
+func cut(t *testing.T, l *Log) *seal {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.cutLocked(); err != nil {
+		t.Fatalf("cut: %v", err)
+	}
+	return l.seal
+}
+
+// interleavedScript is a state of several blob blocks followed by the
+// records a test appends while that state's checkpoint is sealed.
+func interleavedScript() (state, during []step) {
+	state = []step{{spec.OpMkdir, spec.Args{Path: "/d"}}}
+	for i := 0; i < 3; i++ {
+		p := fmt.Sprintf("/d/f%d", i)
+		data := make([]byte, 5000)
+		for j := range data {
+			data[j] = byte(i*31 + j)
+		}
+		state = append(state, step{spec.OpMknod, spec.Args{Path: p}}, step{spec.OpWrite, spec.Args{Path: p, Data: data}})
+	}
+	for i := 0; i < 8; i++ {
+		p := fmt.Sprintf("/d/late%d", i)
+		during = append(during, step{spec.OpMknod, spec.Args{Path: p}})
+		if i%2 == 1 {
+			during = append(during, step{spec.OpRename, spec.Args{Path: p, Path2: p + "-moved"}})
+		}
+	}
+	// Overwrites and an unlink of what the snapshot holds: the frozen
+	// view must not see them.
+	during = append(during,
+		step{spec.OpWrite, spec.Args{Path: "/d/f0", Off: 10, Data: []byte("after the cut")}},
+		step{spec.OpUnlink, spec.Args{Path: "/d/f1"}},
+		step{spec.OpTruncate, spec.Args{Path: "/d/f2", Off: 7}},
+	)
+	return state, during
+}
+
+// runInterleaved appends state, cuts a checkpoint, and appends and
+// acknowledges one record of during each time the seal parks between
+// blob blocks, the rest after it is sealed. It stops at the first device
+// error and returns the highest seq acknowledged durable.
+func runInterleaved(t *testing.T, dev *Device) (acked uint64) {
+	t.Helper()
+	state, during := interleavedScript()
+	l := NewLog(dev, Config{CheckpointEvery: 1 << 20})
+	app := func(s step) bool {
+		tk, err := l.Append(s.op, s.args)
+		if err == nil {
+			err = tk.Wait()
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("%s %s: %v", s.op, s.args.Path, err)
+			}
+			return false
+		}
+		acked = tk.seq
+		return true
+	}
+	for _, s := range state {
+		if !app(s) {
+			return acked
+		}
+	}
+	st := stepSeals(l)
+	l.mu.Lock()
+	err := l.cutLocked()
+	s := l.seal
+	l.mu.Unlock()
+	if err != nil {
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("cut: %v", err)
+		}
+		return acked
+	}
+	ok := true
+	for i := 0; ; {
+		select {
+		case <-st.parked:
+			if ok && i < len(during) {
+				ok = app(during[i])
+				i++
+			}
+			st.resume <- struct{}{}
+			continue
+		case <-s.done:
+		}
+		for ; ok && i < len(during); i++ {
+			ok = app(during[i])
+		}
+		return acked
+	}
+}
+
+// TestSealInterleavedCrashes is the deterministic sweep of a checkpoint
+// in flight: records are appended and acknowledged between the blob's
+// blocks, and the device dies at every write mark ± 1 — inside the
+// reservation, between and inside blob blocks and the records past the
+// reservation, inside the superblock flip, and after it. Recovery must
+// never lose an acknowledged record and must land on the golden prefix.
+func TestSealInterleavedCrashes(t *testing.T) {
+	state, during := interleavedScript()
+	keys := goldenKeys(t, append(append([]step(nil), state...), during...))
+	cutSeq := uint64(len(state))
+
+	dry := newDev(t)
+	dry.RecordMarks()
+	if acked := runInterleaved(t, dry); acked != uint64(len(keys)-1) {
+		t.Fatalf("dry run acknowledged %d of %d records", acked, len(keys)-1)
+	}
+	var cuts []int64
+	for _, m := range dry.Marks() {
+		cuts = append(cuts, m-1, m, m+1)
+	}
+	pastUnsealed := 0
+	for _, k := range cuts {
+		dev := newDev(t)
+		dev.CrashAt(k)
+		acked := runInterleaved(t, dev)
+		afs, info, err := Recover(dev, nil)
+		if err != nil {
+			t.Fatalf("crash@%d: recover: %v", k, err)
+		}
+		if info.LastSeq < acked {
+			t.Fatalf("crash@%d: durability violation: acked seq %d, recovered %d (%s)", k, acked, info.LastSeq, info)
+		}
+		if int(info.LastSeq) >= len(keys) || afs.Key() != keys[info.LastSeq] {
+			t.Fatalf("crash@%d: recovered state is not the seq-%d golden prefix (%s)", k, info.LastSeq, info)
+		}
+		if info.CkptSeq < cutSeq && info.LastSeq > cutSeq {
+			pastUnsealed++ // records read across a reservation whose seal never finished
+		}
+	}
+	if pastUnsealed == 0 {
+		t.Fatal("no crash point recovered records past an unsealed reservation")
+	}
+}
+
+// TestSealStoreFullIsSticky: a store that fills up under the blob fails
+// the seal, and the error is the log's: the next Wait of a record not yet
+// durable, the next Append and the next checkpoint all return it.
+func TestSealStoreFullIsSticky(t *testing.T) {
+	dev := NewDevice(block.NewStore(10), 0)
+	l := NewLog(dev, Config{CheckpointEvery: 1 << 20})
+	data := make([]byte, 20000)
+	for _, s := range []step{
+		{spec.OpMknod, spec.Args{Path: "/f"}},
+		{spec.OpWrite, spec.Args{Path: "/f", Data: data}},
+	} {
+		if _, err := l.Append(s.op, s.args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := stepSeals(l)
+	s := cut(t, l)
+	<-st.parked // the seal has written a block of the blob
+	tk, err := l.Append(spec.OpMknod, spec.Args{Path: "/g"})
+	if err != nil {
+		t.Fatalf("append during the seal: %v", err)
+	}
+	st.release()
+	<-s.done
+	if !errors.Is(s.err, fserr.ErrNoSpace) {
+		t.Fatalf("seal error = %v, want the store's ErrNoSpace", s.err)
+	}
+	if err := tk.Wait(); !errors.Is(err, fserr.ErrNoSpace) {
+		t.Fatalf("Wait after the failed seal = %v", err)
+	}
+	if _, err := l.Append(spec.OpMknod, spec.Args{Path: "/h"}); !errors.Is(err, fserr.ErrNoSpace) {
+		t.Fatalf("Append after the failed seal = %v", err)
+	}
+	if err := l.CheckpointNow(); !errors.Is(err, fserr.ErrNoSpace) {
+		t.Fatalf("CheckpointNow after the failed seal = %v", err)
+	}
+	if err := l.Settle(); err != nil {
+		t.Fatalf("Settle after the failed seal was reaped = %v", err)
+	}
+}
+
+// TestRecoverDuringSeal: Recover reads one instant of the device, so it
+// may run beside a log that is appending and sealing — parked mid-blob,
+// and free-running under the race detector.
+func TestRecoverDuringSeal(t *testing.T) {
+	t.Run("parked", func(t *testing.T) {
+		state, during := interleavedScript()
+		keys := goldenKeys(t, append(append([]step(nil), state...), during...))
+		dev := newDev(t)
+		l := NewLog(dev, Config{CheckpointEvery: 1 << 20})
+		for _, s := range state {
+			if _, err := l.Append(s.op, s.args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := stepSeals(l)
+		s := cut(t, l)
+		<-st.parked
+		if _, err := l.Append(during[0].op, during[0].args); err != nil {
+			t.Fatal(err)
+		}
+		afs, info, err := Recover(dev, nil)
+		if err != nil {
+			t.Fatalf("recover mid-seal: %v", err)
+		}
+		if info.LastSeq != l.LastSeq() || info.SuperblockVersion != 0 || afs.Key() != keys[info.LastSeq] {
+			t.Fatalf("recover mid-seal: %s", info)
+		}
+		st.release()
+		<-s.done
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		afs, info, err = Recover(dev, nil)
+		if err != nil || info.SuperblockVersion != 1 || afs.Key() != l.ShadowKey() {
+			t.Fatalf("recover after the seal: %v (%s)", err, info)
+		}
+	})
+	t.Run("free-running", func(t *testing.T) {
+		const n = 600
+		var script []step
+		for i := 0; i < n; i++ {
+			script = append(script, step{spec.OpMknod, spec.Args{Path: fmt.Sprintf("/f%03d", i)}})
+		}
+		keys := goldenKeys(t, script)
+		dev := newDev(t)
+		l := NewLog(dev, Config{CheckpointEvery: 8})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, s := range script {
+				if _, err := l.Append(s.op, s.args); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			floor := l.LastSeq()
+			afs, info, err := Recover(dev, nil)
+			if err != nil {
+				t.Fatalf("recover beside appends and seals: %v", err)
+			}
+			if info.LastSeq < floor || afs.Key() != keys[info.LastSeq] {
+				t.Fatalf("recovered seq %d (floor %d) is not its golden prefix: %s", info.LastSeq, floor, info)
+			}
+		}
+		if err := l.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
