@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint verify bench bench-json bench-writepath bench-shard bench-compare bench-shard-compare fairness obs-overhead figures conform interdep loc clean fuzz fuzz-smoke cover crash-fuzz wal-bench wal-bench-compare
+.PHONY: all build test race lint verify bench fairness obs-overhead figures conform interdep loc clean fuzz fuzz-smoke cover crash-fuzz
 
 all: build test
 
@@ -73,62 +73,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Perf trajectory artifact: FastPath + Fig-10/Fig-11 matrix as JSON.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_fastpath.json
-
-# Write-path matrix (prefix cache vs. root lock-coupling): regenerate
-# the committed baseline.
-bench-writepath:
-	$(GO) run ./cmd/benchjson -suite writepath -o BENCH_writepath.json
-
-# Sharded-namespace matrix (DESIGN.md §13): simulator scaling cells for
-# 1/2/4 volumes (the suite itself enforces >= 2x aggregate mutation
-# throughput at 4 volumes) plus real mount-resolve-overhead and
-# cross-volume-rename cells. Regenerates the committed baseline.
-bench-shard:
-	$(GO) run ./cmd/benchjson -suite shard -o BENCH_shard.json
-
-# Durability matrix (DESIGN.md §14): group commit vs naive per-op flush
-# under simulated fsync latency (the suite itself enforces >= 2x from
-# batching), journal CPU overhead vs the bare ramdisk, and recovery
-# replay speed. Regenerates the committed baseline.
-wal-bench:
-	$(GO) run ./cmd/benchjson -suite wal -o BENCH_wal.json
-
-# Durability regression gate, enforced by cmd/benchdiff. The strict
-# parts are the pair — group commit may never lose to per-op flushing —
-# and the suite's own >= 2x batching gate, both throughput *ratios* that
-# hold regardless of host speed. The absolute ns/op cells (CPU-bound
-# micro loops, a GC-sensitive recovery replay) swing 25-50% run-to-run
-# on a single-CPU host, so like the shard suite's real-execution cells
-# they get a wide 60% tolerance and only catch order-of-magnitude
-# breakage.
-wal-bench-compare:
-	$(GO) run ./cmd/benchjson -suite wal -o /tmp/BENCH_wal_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_wal.json -cur /tmp/BENCH_wal_current.json \
-		-threshold 0.6 \
-		-pair "wal/group-commit/parallel-create-8thr/group<=wal/group-commit/parallel-create-8thr/nogroup"
-
-# Nightly regression gate: a fresh writepath run must stay within 15%
-# ns/op of the committed baseline in every cell.
-bench-compare:
-	$(GO) run ./cmd/benchjson -suite writepath -o /tmp/BENCH_writepath_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_writepath.json -cur /tmp/BENCH_writepath_current.json
-
-# Shard regression gate. The simulator cells are deterministic (virtual
-# ticks), so they hold exactly at any threshold and the monotonicity
-# pairs — more volumes may never cost more virtual time per op than
-# fewer — are the strict gate; the real resolve/rename cells swing
-# +/-30% on a single-CPU host, so they get a wide 60% tolerance and
-# only catch order-of-magnitude breakage.
-bench-shard-compare:
-	$(GO) run ./cmd/benchjson -suite shard -o /tmp/BENCH_shard_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_shard.json -cur /tmp/BENCH_shard_current.json \
-		-threshold 0.6 \
-		-pair "shard-sim/mutate-mix/16thr/vols-4<=shard-sim/mutate-mix/16thr/vols-2" \
-		-pair "shard-sim/mutate-mix/16thr/vols-2<=shard-sim/mutate-mix/16thr/vols-1"
 
 # Per-tenant fairness gate: 4-tenant skewed load through the FUSE-like
 # server; quota'ing the hog must bring the victims' p99.9 back below the

@@ -2,10 +2,8 @@
 //
 //   - BenchmarkFig10/... — Figure 10, application workloads on each file
 //     system (single-threaded running time; compare with `fsbench -fig 10`);
-//   - BenchmarkFig11.../sim — Figure 11(a)(b) on the virtual 16-core
-//     simulator (reports speedup_16x as a custom metric);
-//   - BenchmarkFig11.../real — the same personalities executed for real
-//     at GOMAXPROCS parallelism;
+//   - BenchmarkFig11.../real — Figure 11(a)(b), the personalities
+//     executed for real at GOMAXPROCS parallelism;
 //   - BenchmarkMonitorOverhead — ablation: the cost of running AtomFS
 //     under the CRL-H runtime monitor;
 //   - BenchmarkOps — per-operation microbenchmarks across the variants
@@ -22,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/memfs"
-	"repro/internal/multicore"
 	"repro/internal/retryfs"
 	"repro/internal/slowfs"
 	"repro/internal/workload"
@@ -73,29 +70,8 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// benchFig11Sim reports the simulated 16-core speedup for one design.
-func benchFig11Sim(b *testing.B, personality string, d multicore.Design) {
-	costs := multicore.DefaultCosts()
-	mkSrc := func() multicore.TraceSource {
-		if personality == "fileserver" {
-			return costs.FileserverSource(d, 526, 10000, 4)
-		}
-		return costs.WebproxySource(d, 1000, 2)
-	}
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		src := mkSrc()
-		base := multicore.Run(1, 2000, src).Throughput()
-		speedup = multicore.Run(16, 2000, src).Throughput() / base
-	}
-	b.ReportMetric(speedup, "speedup_16x")
-}
-
 // BenchmarkFig11Fileserver regenerates Figure 11(a).
 func BenchmarkFig11Fileserver(b *testing.B) {
-	b.Run("sim/atomfs", func(b *testing.B) { benchFig11Sim(b, "fileserver", multicore.DesignAtomFS) })
-	b.Run("sim/atomfs-biglock", func(b *testing.B) { benchFig11Sim(b, "fileserver", multicore.DesignBigLock) })
-	b.Run("sim/ext4~retryfs", func(b *testing.B) { benchFig11Sim(b, "fileserver", multicore.DesignRetryFS) })
 	for _, s := range []struct {
 		name string
 		mk   func() fsapi.FS
@@ -119,9 +95,6 @@ func BenchmarkFig11Fileserver(b *testing.B) {
 
 // BenchmarkFig11Webproxy regenerates Figure 11(b).
 func BenchmarkFig11Webproxy(b *testing.B) {
-	b.Run("sim/atomfs", func(b *testing.B) { benchFig11Sim(b, "webproxy", multicore.DesignAtomFS) })
-	b.Run("sim/atomfs-biglock", func(b *testing.B) { benchFig11Sim(b, "webproxy", multicore.DesignBigLock) })
-	b.Run("sim/ext4~retryfs", func(b *testing.B) { benchFig11Sim(b, "webproxy", multicore.DesignRetryFS) })
 	for _, s := range []struct {
 		name string
 		mk   func() fsapi.FS

@@ -14,9 +14,8 @@
 //	fsbench -fig 11a -threads 8 -quick
 //	fsbench -fig 10 -csv     # CSV output for plotting
 //
-// Figure 11 runs primarily on the virtual-time multicore simulator
-// (internal/multicore); add -real to also execute the workloads at the
-// host's actual parallelism.
+// Figure 11 executes the workloads for real at min(-threads, NumCPU)
+// threads: its curves are only as tall as the host is wide.
 //
 // Absolute numbers depend on the host; the shapes are what reproduce the
 // paper (see EXPERIMENTS.md).
@@ -36,7 +35,6 @@ import (
 	"repro/internal/benchutil"
 	"repro/internal/fsapi"
 	"repro/internal/memfs"
-	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/retryfs"
 	"repro/internal/slowfs"
@@ -48,33 +46,23 @@ var ctx = context.Background()
 
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 10, 11a, 11b, 11c (extension: varmail), fair, all")
-	maxThreads := flag.Int("threads", 16, "maximum thread count for figure 11")
+	maxThreads := flag.Int("threads", 16, "maximum thread count for figure 11 (capped at the host's CPU count)")
 	depth := flag.Int("depth", 8, "directory depth for the deeppath cell in figure 10")
 	quick := flag.Bool("quick", false, "scale workloads down for a fast smoke run")
-	real := flag.Bool("real", runtime.NumCPU() >= 4,
-		"also run figure 11 as real concurrent execution (meaningful only with multiple CPUs)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables (for plotting)")
 	flag.Parse()
 	emitCSV = *csv
 
+	threads := min(*maxThreads, runtime.NumCPU())
 	switch *fig {
 	case "10":
 		figure10(*quick, *depth)
 	case "11a":
-		figure11sim("fileserver", *maxThreads)
-		if *real {
-			figure11("fileserver", min(*maxThreads, runtime.NumCPU()), *quick)
-		}
+		figure11("fileserver", threads, *quick)
 	case "11b":
-		figure11sim("webproxy", *maxThreads)
-		if *real {
-			figure11("webproxy", min(*maxThreads, runtime.NumCPU()), *quick)
-		}
+		figure11("webproxy", threads, *quick)
 	case "11c":
-		figure11sim("varmail", *maxThreads)
-		if *real {
-			figure11("varmail", min(*maxThreads, runtime.NumCPU()), *quick)
-		}
+		figure11("varmail", threads, *quick)
 	case "fair":
 		// A gate, not a figure: it carries an exit code, so "all" (used by
 		// the figure-regeneration targets) does not include it.
@@ -83,86 +71,16 @@ func main() {
 		}
 	case "all":
 		figure10(*quick, *depth)
-		figure11sim("fileserver", *maxThreads)
-		figure11sim("webproxy", *maxThreads)
-		if *real {
-			figure11("fileserver", min(*maxThreads, runtime.NumCPU()), *quick)
-			figure11("webproxy", min(*maxThreads, runtime.NumCPU()), *quick)
-		}
+		figure11("fileserver", threads, *quick)
+		figure11("webproxy", threads, *quick)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
 }
 
-// figure11sim regenerates the Figure-11 curves on the virtual-time
-// multicore simulator (internal/multicore): the paper measured a 16-core
-// Xeon, which this environment may not have, so the lock-contention
-// behaviour that shapes the curves is simulated per DESIGN.md's
-// substitution policy.
 // emitCSV switches table rendering to CSV for external plotting.
 var emitCSV bool
-
-func figure11sim(personality string, maxThreads int) {
-	fmt.Printf("=== Figure 11: %s scalability (simulated %d-core machine) ===\n", personality, maxThreads)
-	costs := multicore.DefaultCosts()
-	designs := []struct {
-		name string
-		d    multicore.Design
-	}{
-		{"atomfs", multicore.DesignAtomFS},
-		{"atomfs-biglock", multicore.DesignBigLock},
-		{"ext4~retryfs", multicore.DesignRetryFS},
-	}
-	series := benchutil.NewSeries(personality+" (simulated)", "atomfs", "atomfs-biglock", "ext4~retryfs")
-	var threadCounts []int
-	for t := 1; t <= maxThreads; t *= 2 {
-		threadCounts = append(threadCounts, t)
-	}
-	if last := threadCounts[len(threadCounts)-1]; last != maxThreads {
-		threadCounts = append(threadCounts, maxThreads)
-	}
-	const opsPerThread = 3000
-	for _, d := range designs {
-		var src multicore.TraceSource
-		switch personality {
-		case "fileserver":
-			src = costs.FileserverSource(d.d, 526, 10000, 4)
-		case "varmail":
-			src = costs.VarmailSource(d.d, 1000, 1)
-		default:
-			src = costs.WebproxySource(d.d, 1000, 2)
-		}
-		for _, th := range threadCounts {
-			res := multicore.Run(th, opsPerThread, src)
-			// Convert virtual throughput into a Measurement (ticks as ns).
-			series.Add(d.name, th, benchutil.Measurement{
-				Name: personality, System: d.name,
-				Ops: int64(res.Ops), Elapsed: time.Duration(res.Makespan),
-			})
-		}
-	}
-	if emitCSV {
-		series.RenderCSV(os.Stdout)
-	} else {
-		series.Render(os.Stdout)
-	}
-	maxT := threadCounts[len(threadCounts)-1]
-	atomT := series.Throughput("atomfs", maxT)
-	bigT := series.Throughput("atomfs-biglock", maxT)
-	if bigT > 0 && !emitCSV {
-		fmt.Printf("atomfs/biglock throughput at %d threads: %.2fx", maxT, atomT/bigT)
-		switch personality {
-		case "fileserver":
-			fmt.Printf("   (paper: 1.46x at 16 threads)\n")
-		case "webproxy":
-			fmt.Printf("   (paper: 1.16x at 16 threads)\n")
-		default:
-			fmt.Printf("   (extension personality; not in the paper)\n")
-		}
-	}
-	fmt.Println()
-}
 
 // figure10 reproduces the application-workload comparison. The paper's
 // systems map to ours as: DFSCQ -> slowfs (extraction-overhead model),

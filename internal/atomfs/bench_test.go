@@ -10,11 +10,9 @@ import (
 	"repro/internal/retryfs"
 )
 
-// The microbenchmarks below ground the virtual-tick cost model of
-// internal/multicore in measured behaviour: the per-step cost of coupled
-// traversal (depth sweep) and the entry-count dependence of directory
-// critical sections (width sweep) are the two quantities the Figure-11
-// simulator parameterizes as RootStep/DirStep and EntryCost.
+// The microbenchmarks below measure the two costs that shape a walk: the
+// per-step cost of coupled traversal (depth sweep) and the entry-count
+// dependence of directory critical sections (width sweep).
 
 // BenchmarkTraversalDepth: stat cost as a function of path depth — each
 // extra component adds one lock/unlock pair plus one hash lookup.
@@ -40,8 +38,8 @@ func BenchmarkTraversalDepth(b *testing.B) {
 }
 
 // BenchmarkDirectoryWidth: lookup cost as a function of directory size —
-// the fixed-width hash table's chains grow linearly with entries, which
-// is the multicore model's EntryCost.
+// the fixed-width hash table's chains grow linearly with entries, and
+// the directory lock is held for the whole lookup.
 func BenchmarkDirectoryWidth(b *testing.B) {
 	for _, width := range []int{16, 256, 4096, 16384} {
 		b.Run(fmt.Sprintf("entries-%d", width), func(b *testing.B) {

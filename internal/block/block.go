@@ -5,9 +5,9 @@
 // addressed by "a fixed-size array of indexes" per file (§6) on a Linux
 // ramdisk. This package is that substrate: a memory-resident array of
 // fixed-size blocks with a sharded free-list allocator. Sharding keeps block
-// allocation off the critical path of the multicore scalability experiments
-// (Figure 11), where a single allocator lock would add contention that the
-// paper's ramdisk does not have.
+// allocation off the critical path of concurrent writers, where a single
+// allocator lock would add contention that the paper's ramdisk does not
+// have.
 package block
 
 import (

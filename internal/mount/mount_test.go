@@ -287,3 +287,41 @@ func BenchmarkResolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCrossRename is the two-phase helped protocol's cost: each
+// iteration creates in the root volume, renames across the /v1 mount
+// (detach prepare, attach commit, source completion) and unlinks at the
+// destination. The same-volume control runs the identical loop with the
+// rename staying inside the root volume, through the same namespace.
+func BenchmarkCrossRename(b *testing.B) {
+	for _, bc := range []struct{ name, dst string }{
+		{"cross-volume", "/v1"},
+		{"same-volume", "/b"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ns := New(atomfs.New())
+			if err := ns.Mount(tctx, "/v1", atomfs.New()); err != nil {
+				b.Fatal(err)
+			}
+			for _, d := range []string{"/a", "/b"} {
+				if err := ns.Mkdir(tctx, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			dst := bc.dst + "/x"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ns.Mknod(tctx, "/a/x"); err != nil {
+					b.Fatal(err)
+				}
+				if err := ns.Rename(tctx, "/a/x", dst); err != nil {
+					b.Fatal(err)
+				}
+				if err := ns.Unlink(tctx, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

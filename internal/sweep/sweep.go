@@ -80,19 +80,19 @@ func buildTree(fs *atomfs.FS, setup []string) error {
 	return nil
 }
 
-// countPoints runs B alone and counts its hook events.
-func countPoints(p Pair) (int, error) {
+// countPoints runs op alone on a fresh tree and counts its hook events.
+func countPoints(setup []string, op OpSpec) (int, error) {
 	fs := atomfs.New()
-	if err := buildTree(fs, p.Setup); err != nil {
+	if err := buildTree(fs, setup); err != nil {
 		return 0, err
 	}
 	count := 0
 	fs.SetHook(func(ev atomfs.HookEvent) {
-		if ev.Op == p.B.Op {
+		if ev.Op == op.Op {
 			count++
 		}
 	})
-	_ = p.B.Run(fs) // B's own error is schedule-dependent, not a failure
+	_ = op.Run(fs) // the op's own error is schedule-dependent, not a failure
 	return count, nil
 }
 
@@ -108,66 +108,38 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	pre := mon.AbstractState()
 	cut := rec.Len()
 
-	parked := make(chan struct{})
-	release := make(chan struct{})
 	held := newHoldings()
-	// A and B may share an op kind (the rename+rename pair), so the
-	// counter needs a lock; parking blocks outside it.
-	var hookMu sync.Mutex
-	seen := 0
+	defer held.releaseAll()
 	fs.SetHook(func(ev atomfs.HookEvent) {
-		held.observe(ev)
-		if ev.Op != p.B.Op {
-			return
+		st, park := held.observe(ev)
+		if park {
+			<-st.release
 		}
-		hookMu.Lock()
-		seen++
-		shouldPark := seen == k
-		hookMu.Unlock()
-		if shouldPark {
-			close(parked)
-			<-release
+		// A waiting on a lock parked B holds stays in its hook until B
+		// has finished, so a coalesced schedule is B then A.
+		if holder := held.blocker(st); holder != nil {
+			<-holder.done
 		}
 	})
 
-	bDone := make(chan error, 1)
-	go func() {
-		err := p.B.Run(fs)
-		close(held.bFinished)
-		bDone <- err
-	}()
-	select {
-	case <-parked:
-	case err := <-bDone:
-		// B finished before reaching point k (its path through the hooks
-		// differs under monitoring?) — treat as a harness error.
-		return false, false, fmt.Errorf("B finished (err=%v) before point %d", err, k)
-	case <-time.After(10 * time.Second):
-		return false, false, fmt.Errorf("B never reached point %d", k)
+	b := held.start(fs, p.B, k)
+	if err := held.await(func() bool { return b.parked || b.finished }); err != nil {
+		return false, false, fmt.Errorf("B never reached point %d: %w", k, err)
 	}
-
-	aDone := make(chan error, 1)
-	go func() { aDone <- p.A.Run(fs) }()
-	overlapped := true
-	select {
-	case <-aDone:
-	case <-held.blocked:
-		// A is about to wait on a lock parked B holds; no overlap is
-		// possible at this point. A stays in its hook while B is released
-		// and runs to completion, so the schedule is B then A.
-		overlapped = false
-	case <-time.After(10 * time.Second):
-		close(release)
-		return false, false, fmt.Errorf("point %d: A neither finished nor waited on B", k)
+	if !b.parked {
+		// B's path through the hooks differs under monitoring?
+		return false, false, fmt.Errorf("B finished (err=%v) before point %d", b.err, k)
 	}
-	close(release)
-	select {
-	case <-bDone:
-	case <-time.After(10 * time.Second):
-		return overlapped, false, fmt.Errorf("point %d: released B never finished", k)
+	a := held.start(fs, p.A, 0)
+	if err := held.await(func() bool { return held.settledLocked(a) }); err != nil {
+		return false, false, fmt.Errorf("point %d: A neither finished nor waited on B: %w", k, err)
 	}
-	if !overlapped {
-		<-aDone
+	// Not finished means A is about to wait on a lock parked B holds: no
+	// overlap is possible at this point.
+	overlapped := a.finished
+	held.release(b)
+	if err := held.await(held.allFinishedLocked); err != nil {
+		return overlapped, false, fmt.Errorf("point %d: released B never finished: %w", k, err)
 	}
 	fs.SetHook(nil)
 
@@ -185,86 +157,221 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	if !res.Linearizable {
 		return overlapped, false, fmt.Errorf("point %d: history not linearizable", k)
 	}
-	helped := false
-	for _, e := range events {
-		if e.Kind == history.EvLin && e.Helper != e.Tid {
-			helped = true
-		}
-	}
-	return overlapped, helped, nil
+	return overlapped, externalLPs(events) > 0, nil
 }
 
-// holdings follows, from hook events alone, what the interrupted
-// operation B holds — inode locks, coupled or fast-path, and the
-// seqlock write section. When the interrupting operation announces an
-// acquisition of one of them, it closes blocked and holds that operation
-// in its hook until B has finished (bFinished). B runs alone until it
-// parks, so the first event names its tid.
+// externalLPs counts the operations in events that a helper linearized.
+func externalLPs(events []history.Event) int {
+	n := 0
+	for _, e := range events {
+		if e.Kind == history.EvLin && e.Helper != e.Tid {
+			n++
+		}
+	}
+	return n
+}
+
+// holdings follows the swept operations from hook events alone: what
+// each holds (inode locks, coupled or fast-path, and the seqlock write
+// section), and whether it is parked in its hook, waiting on a lock
+// another operation holds, or finished. The driver starts operations one
+// at a time, each once every earlier one has settled (parked, waiting or
+// finished) and so fires no events, so the first event of an unknown tid
+// belongs to the operation started last. Every state change is broadcast
+// on changed, so the driver decides what happened from the events
+// instead of a timeout.
 type holdings struct {
-	mu        sync.Mutex
-	b         uint64 // B's tid; 0 until its first event
-	inodes    map[spec.Inum]int
-	seq       bool
-	pending   atomfs.HookEvent // B's announced acquisition, held from its next event
-	blocked   chan struct{}
-	closed    bool
-	bFinished chan struct{}
+	mu       sync.Mutex
+	ops      []*opState
+	tids     map[uint64]*opState
+	starting *opState // started, its tid not yet seen
+	changed  chan struct{}
+}
+
+// opState is one swept operation as its hook events show it. holdings.mu
+// guards every field but the two channels.
+type opState struct {
+	parkAt   int // own event to park at; 0 = never
+	seen     int // own events so far
+	parked   bool
+	released bool
+	finished bool
+	err      error
+	release  chan struct{} // closed to resume the parked operation
+	done     chan struct{} // closed once the operation has returned
+	inodes   map[spec.Inum]int
+	seq      bool
+	// last is the operation's latest event. A fast-lock or seqlock
+	// acquisition it announces has completed once the operation fires
+	// again; a coupled one is confirmed by HookLocked.
+	last atomfs.HookEvent
 }
 
 func newHoldings() *holdings {
-	return &holdings{inodes: map[spec.Inum]int{}, blocked: make(chan struct{}), bFinished: make(chan struct{})}
+	return &holdings{tids: map[uint64]*opState{}, changed: make(chan struct{})}
 }
 
-func (h *holdings) observe(ev atomfs.HookEvent) {
+func (h *holdings) notifyLocked() {
+	close(h.changed)
+	h.changed = make(chan struct{})
+}
+
+// start runs op on its own goroutine, parking it at its parkAt'th event.
+func (h *holdings) start(fs *atomfs.FS, op OpSpec, parkAt int) *opState {
+	st := &opState{parkAt: parkAt, release: make(chan struct{}), done: make(chan struct{}),
+		inodes: map[spec.Inum]int{}}
 	h.mu.Lock()
-	if h.b == 0 {
-		h.b = ev.Tid
-	}
-	if ev.Tid != h.b {
-		wait := false
-		switch ev.Point {
-		case atomfs.HookLockAttempt, atomfs.HookFastLock:
-			wait = h.inodes[ev.Ino] > 0
-		case atomfs.HookSeqAttempt:
-			wait = h.seq
-		}
-		if wait && !h.closed {
-			h.closed = true
-			close(h.blocked)
-		}
+	h.ops = append(h.ops, st)
+	h.starting = st
+	h.mu.Unlock()
+	go func() {
+		err := op.Run(fs)
+		h.mu.Lock()
+		st.err, st.finished = err, true
+		h.notifyLocked()
 		h.mu.Unlock()
-		if wait {
-			<-h.bFinished
-		}
-		return
-	}
+		close(st.done)
+	}()
+	return st
+}
+
+// observe books ev against its operation and reports whether that
+// operation must park here.
+func (h *holdings) observe(ev atomfs.HookEvent) (*opState, bool) {
+	h.mu.Lock()
 	defer h.mu.Unlock()
-	// An announced acquisition has completed once B fires again.
-	switch h.pending.Point {
-	case atomfs.HookFastLock:
-		h.inodes[h.pending.Ino]++
-	case atomfs.HookSeqAttempt:
-		h.seq = true
+	st := h.tids[ev.Tid]
+	if st == nil {
+		if h.starting == nil {
+			panic(fmt.Sprintf("sweep: hook event from tid %d, which no started operation owns", ev.Tid))
+		}
+		st, h.starting = h.starting, nil
+		h.tids[ev.Tid] = st
 	}
-	h.pending = atomfs.HookEvent{}
+	switch st.last.Point {
+	case atomfs.HookFastLock:
+		st.inodes[st.last.Ino]++
+	case atomfs.HookSeqAttempt:
+		st.seq = true
+	}
 	switch ev.Point {
 	case atomfs.HookLocked:
-		h.inodes[ev.Ino]++
+		st.inodes[ev.Ino]++
 	case atomfs.HookUnlocked, atomfs.HookFastUnlock:
-		if h.inodes[ev.Ino]--; h.inodes[ev.Ino] <= 0 {
-			delete(h.inodes, ev.Ino)
+		if st.inodes[ev.Ino]--; st.inodes[ev.Ino] <= 0 {
+			delete(st.inodes, ev.Ino)
 		}
 	case atomfs.HookSeqRelease:
-		h.seq = false
-	case atomfs.HookFastLock, atomfs.HookSeqAttempt:
-		h.pending = ev
+		st.seq = false
+	}
+	st.last = ev
+	st.seen++
+	st.parked = !st.released && st.seen == st.parkAt
+	h.notifyLocked()
+	return st, st.parked
+}
+
+// blocker returns the operation holding what st last announced it is
+// about to acquire, or nil when st is not about to wait.
+func (h *holdings) blocker(st *opState) *opState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.blockerLocked(st)
+}
+
+func (h *holdings) blockerLocked(st *opState) *opState {
+	if st.finished {
+		return nil
+	}
+	for _, o := range h.ops {
+		if o == st {
+			continue
+		}
+		switch st.last.Point {
+		case atomfs.HookLockAttempt, atomfs.HookFastLock:
+			if o.inodes[st.last.Ino] > 0 {
+				return o
+			}
+		case atomfs.HookSeqAttempt:
+			if o.seq {
+				return o
+			}
+		}
+	}
+	return nil
+}
+
+// settledLocked reports whether st fires no further event until another
+// operation moves: it is parked, waiting on a lock, or finished.
+func (h *holdings) settledLocked(st *opState) bool {
+	return st.parked || st.finished || h.blockerLocked(st) != nil
+}
+
+func (h *holdings) quiescentLocked() bool {
+	for _, st := range h.ops {
+		if !h.settledLocked(st) {
+			return false
+		}
+	}
+	return true
+}
+
+func (h *holdings) allFinishedLocked() bool {
+	for _, st := range h.ops {
+		if !st.finished {
+			return false
+		}
+	}
+	return true
+}
+
+// await blocks until cond, evaluated under h.mu after every state
+// change, holds. Ten seconds without it is a harness error: every
+// schedule settles in microseconds.
+func (h *holdings) await(cond func() bool) error {
+	timeout := time.After(10 * time.Second)
+	for {
+		h.mu.Lock()
+		ok, changed := cond(), h.changed
+		h.mu.Unlock()
+		if ok {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			return fmt.Errorf("no progress in 10s")
+		}
+	}
+}
+
+// release resumes st if it is parked and keeps it from parking later.
+func (h *holdings) release(st *opState) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if st.released {
+		return
+	}
+	st.released, st.parked = true, false
+	h.notifyLocked()
+	close(st.release)
+}
+
+// releaseAll resumes every operation, so that none is left parked when a
+// schedule ends early.
+func (h *holdings) releaseAll() {
+	h.mu.Lock()
+	ops := h.ops
+	h.mu.Unlock()
+	for _, st := range ops {
+		h.release(st)
 	}
 }
 
 // Run sweeps one pair over every instrumentation point.
 func Run(p Pair) Outcome {
 	out := Outcome{Pair: p}
-	points, err := countPoints(p)
+	points, err := countPoints(p.Setup, p.B)
 	if err != nil {
 		out.Failures = append(out.Failures, err.Error())
 		return out

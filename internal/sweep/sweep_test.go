@@ -34,7 +34,7 @@ func TestCatalogueSweep(t *testing.T) {
 // held) must be helped by the rename.
 func TestSingleScheduleDetail(t *testing.T) {
 	p := Catalogue()[1] // rename+mkdir
-	points, err := countPoints(p)
+	points, err := countPoints(p.Setup, p.B)
 	if err != nil || points < 4 {
 		t.Fatalf("points = %d err = %v", points, err)
 	}

@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/atomfs"
 	"repro/internal/core"
@@ -39,23 +37,8 @@ func (o TripleOutcome) String() string {
 		o.Triple.Name, o.Schedules, o.Helped, len(o.Failures))
 }
 
-// countPointsFor runs op alone on the triple's tree and counts its hooks.
-func countPointsFor(setup []string, op OpSpec) (int, error) {
-	fs := atomfs.New()
-	if err := buildTree(fs, setup); err != nil {
-		return 0, err
-	}
-	count := 0
-	fs.SetHook(func(ev atomfs.HookEvent) {
-		if ev.Op == op.Op {
-			count++
-		}
-	})
-	_ = op.Run(fs)
-	return count, nil
-}
-
-// runTripleSchedule executes one (j, k, releaseBFirst) schedule.
+// runTripleSchedule executes one (j, k, releaseBFirst) schedule and
+// returns how many operations a helper linearized.
 func runTripleSchedule(tr Triple, j, k int, releaseBFirst bool) (int, error) {
 	rec := history.NewRecorder()
 	mon := core.NewMonitor(core.Config{Recorder: rec, CheckGoodAFS: true})
@@ -65,118 +48,76 @@ func runTripleSchedule(tr Triple, j, k int, releaseBFirst bool) (int, error) {
 	}
 	pre := mon.AbstractState()
 	cut := rec.Len()
+	at := fmt.Sprintf("j=%d k=%d bFirst=%v", j, k, releaseBFirst)
 
-	type parkCtl struct {
-		parked  chan struct{}
-		release chan struct{}
-		seen    int
-		target  int
-		op      spec.Op
-	}
-	cCtl := &parkCtl{parked: make(chan struct{}), release: make(chan struct{}), target: k, op: tr.C.Op}
-	bCtl := &parkCtl{parked: make(chan struct{}), release: make(chan struct{}), target: j, op: tr.B.Op}
-	// A's events can share an op kind with B's (rename), so the counters
-	// need a lock; the park itself blocks outside it.
-	var hookMu sync.Mutex
+	// An operation that announces a lock a parked one holds goes on into
+	// the real lock and waits there exactly as long as the lock is held.
+	held := newHoldings()
+	defer held.releaseAll()
 	fs.SetHook(func(ev atomfs.HookEvent) {
-		for _, ctl := range []*parkCtl{cCtl, bCtl} {
-			if ev.Op != ctl.op {
-				continue
-			}
-			hookMu.Lock()
-			ctl.seen++
-			shouldPark := ctl.seen == ctl.target
-			hookMu.Unlock()
-			if shouldPark {
-				close(ctl.parked)
-				<-ctl.release
-			}
+		if st, park := held.observe(ev); park {
+			<-st.release
 		}
 	})
 
-	wait := func(ch chan struct{}, what string) error {
-		select {
-		case <-ch:
-			return nil
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("%s never parked", what)
-		}
+	c := held.start(fs, tr.C, k)
+	if err := held.await(func() bool { return c.parked || c.finished }); err != nil || !c.parked {
+		return 0, fmt.Errorf("%s: C never parked (err=%v)", at, err)
 	}
-	cDone := make(chan error, 1)
-	go func() { cDone <- tr.C.Run(fs) }()
-	if err := wait(cCtl.parked, "C"); err != nil {
-		close(cCtl.release)
-		<-cDone
-		return 0, err
+	// B parks, or waits on a lock parked C holds (a coalesced B still
+	// yields a valid schedule), or finishes.
+	b := held.start(fs, tr.B, j)
+	if err := held.await(func() bool { return held.settledLocked(b) }); err != nil {
+		return 0, fmt.Errorf("%s: B neither parked, waited nor finished: %w", at, err)
 	}
-	bDone := make(chan error, 1)
-	go func() { bDone <- tr.B.Run(fs) }()
-	// B may be blocked behind C's held locks; give it a moment, then
-	// proceed either way (a coalesced B still yields a valid schedule).
-	bParked := true
-	select {
-	case <-bCtl.parked:
-	case <-time.After(50 * time.Millisecond):
-		bParked = false
+	// A runs to completion or until it waits on a parked operation.
+	a := held.start(fs, tr.A, 0)
+	if err := held.await(func() bool { return held.settledLocked(a) }); err != nil {
+		return 0, fmt.Errorf("%s: A neither finished nor waited: %w", at, err)
 	}
 
-	aDone := make(chan error, 1)
-	go func() { aDone <- tr.A.Run(fs) }()
-	aFinished := false
-	select {
-	case <-aDone:
-		aFinished = true
-	case <-time.After(50 * time.Millisecond):
-		// A is blocked behind a parked op; releases below unblock it.
-	}
-
-	first, second := bCtl, cCtl
+	// The first released operation, and whatever it unblocks, runs until
+	// everything has finished or waits on the second.
+	first, second := b, c
 	if !releaseBFirst {
-		first, second = cCtl, bCtl
+		first, second = c, b
 	}
-	close(first.release)
-	time.Sleep(time.Millisecond)
-	close(second.release)
-	<-cDone
-	<-bDone
-	if !aFinished {
-		<-aDone
+	held.release(first)
+	if err := held.await(held.quiescentLocked); err != nil {
+		return 0, fmt.Errorf("%s: released ops never settled: %w", at, err)
 	}
-	_ = bParked
+	held.release(second)
+	if err := held.await(held.allFinishedLocked); err != nil {
+		return 0, fmt.Errorf("%s: released ops never finished: %w", at, err)
+	}
 	fs.SetHook(nil)
 
 	if vs := mon.Violations(); len(vs) > 0 {
-		return 0, fmt.Errorf("j=%d k=%d bFirst=%v: %v", j, k, releaseBFirst, vs)
+		return 0, fmt.Errorf("%s: %v", at, vs)
 	}
 	if err := mon.Quiesce(); err != nil {
-		return 0, fmt.Errorf("j=%d k=%d bFirst=%v: %w", j, k, releaseBFirst, err)
+		return 0, fmt.Errorf("%s: %w", at, err)
 	}
 	events := rec.Events()[cut:]
 	res, err := lincheck.Check(pre, events)
 	if err != nil {
-		return 0, fmt.Errorf("j=%d k=%d bFirst=%v: %w", j, k, releaseBFirst, err)
+		return 0, fmt.Errorf("%s: %w", at, err)
 	}
 	if !res.Linearizable {
-		return 0, fmt.Errorf("j=%d k=%d bFirst=%v: history not linearizable", j, k, releaseBFirst)
+		return 0, fmt.Errorf("%s: history not linearizable", at)
 	}
-	helped := 0
-	for _, e := range events {
-		if e.Kind == history.EvLin && e.Helper != e.Tid {
-			helped++
-		}
-	}
-	return helped, nil
+	return externalLPs(events), nil
 }
 
 // RunTriple sweeps every (j, k, order) schedule of the triple.
 func RunTriple(tr Triple) TripleOutcome {
 	out := TripleOutcome{Triple: tr}
-	bPoints, err := countPointsFor(tr.Setup, tr.B)
+	bPoints, err := countPoints(tr.Setup, tr.B)
 	if err != nil {
 		out.Failures = append(out.Failures, err.Error())
 		return out
 	}
-	cPoints, err := countPointsFor(tr.Setup, tr.C)
+	cPoints, err := countPoints(tr.Setup, tr.C)
 	if err != nil {
 		out.Failures = append(out.Failures, err.Error())
 		return out
@@ -213,19 +154,4 @@ func Fig4cTriple() Triple {
 		A: OpSpec{Name: "rename(/b/c,/b/g)", Op: spec.OpRename,
 			Run: func(fs *atomfs.FS) error { return fs.Rename(bgCtx, "/b/c", "/b/g") }},
 	}
-}
-
-// DebugPoints exposes point counts for diagnostics.
-func DebugPoints(tr Triple) (int, int, error) {
-	b, err := countPointsFor(tr.Setup, tr.B)
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := countPointsFor(tr.Setup, tr.C)
-	return b, c, err
-}
-
-// DebugRunOne exposes a single triple schedule for diagnostics.
-func DebugRunOne(tr Triple, j, k int, bFirst bool) (int, error) {
-	return runTripleSchedule(tr, j, k, bFirst)
 }

@@ -1,12 +1,13 @@
 package wal
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/spec"
 )
 
-// The journal's two single-layer costs (ROADMAP item 4: per-layer numbers
+// The journal's single-layer costs (ROADMAP item 4: per-layer numbers
 // live as `go test -bench` next to the code; bench/ owns end to end):
 //
 //	go test -run '^$' -bench . -benchmem ./internal/wal
@@ -77,5 +78,33 @@ func BenchmarkCheckpointCut(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkRecover replays a checkpoint-less journal of 2 000 records
+// (a mkdir, then 1 999 creates) from the device bytes alone. Recover
+// only reads the device, so one journal serves every iteration.
+func BenchmarkRecover(b *testing.B) {
+	const records = 2000
+	dev := newBigDev(16 << 20)
+	l := NewLog(dev, Config{})
+	if _, err := l.Append(spec.OpMkdir, spec.Args{Path: "/w"}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i < records; i++ {
+		if _, err := l.Append(spec.OpMknod, spec.Args{Path: fmt.Sprintf("/w/f%d", i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, info, err := Recover(dev, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Replayed != records {
+			b.Fatalf("replayed %d records, want %d", info.Replayed, records)
+		}
 	}
 }

@@ -69,7 +69,8 @@ type Device struct {
 	crashAt int64
 	crashed bool
 	// syncDelay simulates the latency of a real flush (fsync); the
-	// group-commit benchmark sets it to make batching measurable.
+	// group-commit tests set it so that committers pile up behind a
+	// flush and batching becomes observable.
 	syncDelay time.Duration
 	syncs     int64
 	// marks records the cumulative written offset after each WriteAt

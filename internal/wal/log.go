@@ -85,10 +85,6 @@ type Config struct {
 	// previous checkpoint's bytes have been logged since it, so its cost
 	// is amortised over what the log absorbed, not over the whole tree.
 	CheckpointEvery int
-	// NoGroup disables the group-commit batcher: every append flushes the
-	// device inline before returning — the naive per-op durability
-	// baseline the benchmark suite compares against.
-	NoGroup bool
 	// Obs receives journal counters; nil runs unobserved.
 	Obs *obs.Registry
 }
@@ -249,16 +245,6 @@ func (l *Log) Append(op spec.Op, args spec.Args) (Ticket, error) {
 	l.cAppends.Inc(0)
 	t := Ticket{l: l, seq: seq}
 	l.sinceCkpt++
-	if l.cfg.NoGroup {
-		if err := l.dev.Sync(); err != nil {
-			l.fail(err)
-			return Ticket{}, err
-		}
-		l.cCommits.Inc(0)
-		l.cBatched.Inc(0)
-		l.hBatch.Observe(0, 1)
-		l.setDurable(seq)
-	}
 	if l.cfg.CheckpointEvery > 0 && l.sinceCkpt >= l.cfg.CheckpointEvery &&
 		(l.end-l.logStart)*ckptLogRatio >= l.ckptLen {
 		if err := l.cutLocked(); err != nil {

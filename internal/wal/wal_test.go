@@ -126,21 +126,6 @@ func TestRecoverEmptyDevice(t *testing.T) {
 	}
 }
 
-func TestNoGroupInlineDurability(t *testing.T) {
-	dev := newDev(t)
-	l := NewLog(dev, Config{NoGroup: true})
-	if _, err := l.Append(spec.OpMkdir, spec.Args{Path: "/a"}); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	// Durable without any Wait: NoGroup syncs inline.
-	if l.DurableSeq() != 1 {
-		t.Fatalf("durableSeq = %d, want 1", l.DurableSeq())
-	}
-	if dev.Syncs() != 1 {
-		t.Fatalf("syncs = %d, want 1", dev.Syncs())
-	}
-}
-
 func TestGroupCommitCoalesces(t *testing.T) {
 	// A measurable sync latency makes concurrent committers pile up
 	// behind the in-flight flush, so the follower batches are real.
